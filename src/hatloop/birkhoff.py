@@ -6,6 +6,13 @@ log, recover its Laurent coefficients by FFT and split them into the
 plus/minus parts.  2x2 matrix loops are factorized by solving the linear
 system that characterizes the minus factor for a candidate index pair,
 searching index candidates from the balanced pair outwards.
+
+Circle sampling is one inverse FFT of the coefficients folded modulo the
+sample count.  The sample count is at least the smallest power of two
+>= 2 (window span + band) of the input, so the sampled window never
+aliases onto itself (Trefethen & Weideman, SIAM Rev. 2014).  The
+minus-factor system is assembled from Toeplitz slices of dense
+coefficient arrays, one block per matrix entry.
 """
 
 from __future__ import annotations
@@ -15,33 +22,54 @@ import math
 import numpy as np
 
 from .errors import (FactorizationFailed, ParseError, SingularLoop)
-from .germs import (COMPLEX, LaurentGerm, TruncationWindow, germ_exp,
-                    split_pm, truncate_window, window)
+from .germs import LaurentGerm, germ_exp, json_field, split_pm, window
 
 EPS_ZERO = 1e-12
 N_SAMPLES = 512
 
 
 def _circle_samples(f, nsamples):
-    z = np.exp(2j * np.pi * np.arange(nsamples) / nsamples)
-    vals = np.zeros(nsamples, dtype=complex)
-    for n, c in f.items():
-        vals += c * z ** n
-    return z, vals
+    """Values of ``f`` at the ``nsamples``-th roots of unity
+    ``exp(2 pi i j / nsamples)``, by one inverse FFT of its coefficients
+    folded modulo ``nsamples``."""
+    folded = np.zeros(nsamples, dtype=complex)
+    if f.coeffs:
+        np.add.at(folded, np.arange(f.n_min, f.n_max + 1) % nsamples,
+                  f.coeffs)
+    return np.fft.ifft(folded, norm="forward")
+
+
+def _nsamples(nsamples, f, span=0):
+    """``nsamples``, raised to the smallest power of two >= 2 (span +
+    band of ``f``) so that a window of ``span + 1`` exponents does not
+    alias."""
+    band = max(abs(f.n_min), abs(f.n_max)) if f.coeffs else 0
+    return max(nsamples, 1 << max(2 * (span + band) - 1, 0).bit_length())
+
+
+def _nonsingular_samples(f, nsamples, eps_zero):
+    vals = _circle_samples(f, nsamples)
+    if np.min(np.abs(vals)) < eps_zero:
+        raise SingularLoop("loop vanishes on the sampling circle")
+    return vals
+
+
+def _spectrum_window(spectrum, w, radius):
+    idx = np.arange(w.lo, w.hi + 1) % len(spectrum)
+    return LaurentGerm.from_array(w.lo, spectrum[idx], radius)
 
 
 def winding_number(f, nsamples=N_SAMPLES, eps_zero=EPS_ZERO):
     """Winding of ``f`` around 0 along the unit circle.
 
-    Uses argument unwrapping over ``nsamples`` equispaced points and
-    raises :class:`SingularLoop` when the loop gets within ``eps_zero``
-    of the origin.
+    Uses argument unwrapping over at least ``nsamples`` equispaced points
+    (more when the band of ``f`` needs them) and raises
+    :class:`SingularLoop` when the loop gets within ``eps_zero`` of the
+    origin.
     """
     if f.is_zero():
         raise SingularLoop("zero loop")
-    _, vals = _circle_samples(f, nsamples)
-    if np.min(np.abs(vals)) < eps_zero:
-        raise SingularLoop("loop vanishes on the sampling circle")
+    vals = _nonsingular_samples(f, _nsamples(nsamples, f), eps_zero)
     ang = np.angle(vals)
     steps = np.diff(np.concatenate([ang, ang[:1]]))
     steps = (steps + math.pi) % (2 * math.pi) - math.pi
@@ -53,26 +81,17 @@ def log_coeffs(f, w, nsamples=2 * N_SAMPLES, eps_zero=EPS_ZERO):
 
     Requires winding number zero and a loop bounded away from 0.
     """
-    _, vals = _circle_samples(f, nsamples)
-    if np.min(np.abs(vals)) < eps_zero:
-        raise SingularLoop("loop vanishes on the sampling circle")
-    args = np.unwrap(np.angle(vals))
-    logs = np.log(np.abs(vals)) + 1j * args
-    spectrum = np.fft.fft(logs) / nsamples
-    out = {}
-    for n in range(w.lo, w.hi + 1):
-        out[n] = complex(spectrum[n % nsamples])
-    return LaurentGerm.from_dict(out, COMPLEX, f.radius)
+    m = _nsamples(nsamples, f, w.hi - w.lo)
+    vals = _nonsingular_samples(f, m, eps_zero)
+    logs = np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
+    return _spectrum_window(np.fft.fft(logs) / m, w, f.radius)
 
 
 def reciprocal_coeffs(f, w, nsamples=2 * N_SAMPLES, eps_zero=EPS_ZERO):
     """Laurent coefficients (within ``w``) of 1/f for a winding-0 loop."""
-    _, vals = _circle_samples(f, nsamples)
-    if np.min(np.abs(vals)) < eps_zero:
-        raise SingularLoop("loop vanishes on the sampling circle")
-    spectrum = np.fft.fft(1.0 / vals) / nsamples
-    out = {n: complex(spectrum[n % nsamples]) for n in range(w.lo, w.hi + 1)}
-    return LaurentGerm.from_dict(out, COMPLEX, f.radius)
+    m = _nsamples(nsamples, f, w.hi - w.lo)
+    vals = _nonsingular_samples(f, m, eps_zero)
+    return _spectrum_window(np.fft.fft(1.0 / vals) / m, w, f.radius)
 
 
 def birkhoff_scalar(f, w=None, nsamples=2 * N_SAMPLES):
@@ -97,12 +116,12 @@ def birkhoff_scalar(f, w=None, nsamples=2 * N_SAMPLES):
 def _chop(f, rel=1e-13):
     """Drop coefficients below ``rel`` times the largest one (sampling
     noise from the FFT-based steps)."""
-    top = max((abs(c) for _, c in f.items()), default=0.0)
-    if top == 0.0:
+    if f.is_zero():
         return f
-    return LaurentGerm.from_dict(
-        {n: c for n, c in f.items() if abs(c) > rel * top},
-        f.domain, f.radius)
+    vals = np.asarray(f.coeffs, dtype=complex)
+    mags = np.abs(vals)
+    return LaurentGerm.from_array(
+        f.n_min, np.where(mags > rel * mags.max(), vals, 0), f.radius)
 
 
 class LoopMatrix:
@@ -174,13 +193,13 @@ class LoopMatrix:
 
     @classmethod
     def from_json(cls, obj):
+        rows = json_field(obj, "entries", "matrix")
         if obj.get("size") != 2:
             raise ParseError("only 2x2 loop matrices are supported")
         try:
-            rows = obj["entries"]
             return cls([[LaurentGerm.from_json(g) for g in row]
                         for row in rows])
-        except (KeyError, TypeError) as exc:
+        except TypeError as exc:
             raise ParseError(f"bad matrix object: {exc}") from None
 
 
@@ -209,6 +228,32 @@ def in_identity_component(F, nsamples=N_SAMPLES):
     return winding_number(F.det(None), nsamples) == 0
 
 
+def _minus_factor_system(F, indices, i, depth):
+    """Least-squares system ``(A, b)`` for column ``i`` of G.
+
+    The unknowns are the coefficients of G_0i and G_1i at z^-depth..z^-1,
+    then (column 0 when n1 > n2) the constant of G_10.  Row (r, e) asks
+    the coefficient of z^e in (F G)[r, i] to vanish, for ``e_lo <= e <
+    n_i``; block (r, j) is the Toeplitz slice ``F_rj[(e - e_lo) - k]`` of
+    a dense coefficient array of F_rj starting at ``e_lo``.
+    """
+    n1, n2 = indices
+    e_lo = F.band()[0] - depth
+    ne = max(indices[i] - e_lo, 0)
+    toeplitz = np.arange(ne)[:, None] - np.arange(-depth, 0)[None, :]
+    blocks, rhs = [], []
+    for r in range(2):
+        dense = [F[r, j].to_array(e_lo, e_lo + ne + depth - 1)
+                 for j in range(2)]
+        row = [dense[0][toeplitz], dense[1][toeplitz]]
+        if i == 0 and n1 > n2:
+            row.append(dense[1][:ne, None])
+        blocks.append(np.hstack(row))
+        # the k = 0 term of G_ii is the fixed constant 1
+        rhs.append(-dense[i][:ne])
+    return np.vstack(blocks), np.concatenate(rhs)
+
+
 def _solve_minus_factor(F, n1, n2, depth):
     """Least squares solve for G = F_minus**-1 (minus type).
 
@@ -218,72 +263,23 @@ def _solve_minus_factor(F, n1, n2, depth):
     at infinity is then unit lower triangular, the general form the
     sorted indices allow).  Returns (G, residual).
     """
-    lo_band, _ = F.band()
-    indices = (n1, n2)
-    cols = []
+    entries = [[None, None], [None, None]]
+    resids = []
     for i in range(2):
-        extra = 1 if (i == 0 and n1 > n2) else 0
-        nunk = 2 * depth + extra
-        e_lo = lo_band - depth
-        e_hi = indices[i] - 1
-        rows = []
-        rhs = []
-        for r in range(2):
-            for e in range(e_lo, e_hi + 1):
-                row = np.zeros(nunk, dtype=complex)
-                val = 0j
-                for j in range(2):
-                    frj = F.entries[r][j]
-                    # k = 0 term: G_ji(0) = delta_ji
-                    if j == i:
-                        val += frj.coeff_at(e)
-                    for k in range(-depth, 0):
-                        row[j * depth + (k + depth)] += frj.coeff_at(e - k)
-                if extra:
-                    row[2 * depth] += F.entries[r][1].coeff_at(e)
-                rows.append(row)
-                rhs.append(-val)
-        A = np.array(rows)
-        b = np.array(rhs)
+        A, b = _minus_factor_system(F, (n1, n2), i, depth)
         try:
             q, r = np.linalg.qr(A)
             sol = np.linalg.solve(r, q.conj().T @ b)
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = np.linalg.norm(A @ sol - b)
-        cols.append((sol, resid))
-    entries = [[None, None], [None, None]]
-    for i in range(2):
-        sol, _ = cols[i]
+        resids.append(np.linalg.norm(A @ sol - b))
         for j in range(2):
-            coeffs = {k: complex(sol[j * depth + (k + depth)])
-                      for k in range(-depth, 0)}
-            if j == i:
-                coeffs[0] = 1.0
+            const = 1.0 if j == i else 0.0
             if j == 1 and i == 0 and n1 > n2:
-                coeffs[0] = complex(sol[2 * depth])
-            entries[j][i] = LaurentGerm.from_dict(coeffs, COMPLEX)
-    G = LoopMatrix(entries)
-    return G, max(cols[0][1], cols[1][1])
-
-
-def _neumann_inverse(G, w):
-    """Invert I + N with N strictly minus, exactly within the window."""
-    N = [[G.entries[i][j] - (LaurentGerm.one() if i == j
-                             else LaurentGerm.zero())
-          for j in range(2)] for i in range(2)]
-    N = LoopMatrix(N)
-    out = LoopMatrix.identity()
-    term = LoopMatrix.identity()
-    for _ in range(-w.lo):
-        term = N.mul(term, w)
-        term = LoopMatrix([[t.scale(-1.0) for t in row]
-                           for row in term.entries])
-        if all(g.is_zero() for row in term.entries for g in row):
-            break
-        out = LoopMatrix([[out.entries[i][j] + term.entries[i][j]
-                           for j in range(2)] for i in range(2)])
-    return out
+                const = sol[2 * depth]
+            entries[j][i] = LaurentGerm.from_array(
+                -depth, np.append(sol[j * depth:(j + 1) * depth], const))
+    return LoopMatrix(entries), max(resids)
 
 
 def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9,

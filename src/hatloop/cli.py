@@ -17,7 +17,8 @@ from .birkhoff import LoopMatrix, birkhoff_matrix2, birkhoff_scalar
 from .errors import HatloopError, ParseError
 from .extgroup import ExtendedElement, hat_inv, hat_mul, \
     twisted_commutator
-from .germs import LaurentGerm, rescale, truncate_window, window
+from .germs import LaurentGerm, json_complex, json_field, rescale, \
+    truncate_window, window
 from .leaves import gl1_diagonalize, qdiff_solve, sl2_triangular_reduce
 from .poisson import (PoissonPoly, antipode, bracket, coproduct,
                       frobenius)
@@ -83,14 +84,6 @@ def _parse_window(text):
         return window(int(lo), int(hi))
     except (ValueError, AttributeError):
         raise ParseError(f"bad window {text!r}, expected LO:HI") from None
-
-
-def _complex_of(obj, name):
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(obj[0], obj[1])
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise ParseError(f"bad {name}, expected [re, im]")
 
 
 def _germ_json(f):
@@ -199,9 +192,9 @@ def _cmd_frobenius(args):
 def _cmd_normalize(args):
     obj = _load_json(args.input)
     if args.algebra == "sl2":
-        A = LoopMatrix.from_json(obj["matrix"])
-        lam = _complex_of(obj.get("lambda", 1.0), "lambda")
-        gamma = _complex_of(obj["gamma"], "gamma")
+        A = LoopMatrix.from_json(json_field(obj, "matrix", args.input))
+        lam = json_complex(obj.get("lambda", 1.0), "lambda")
+        gamma = json_complex(json_field(obj, "gamma", args.input), "gamma")
         w = _parse_window(args.window) if args.window else None
         red = sl2_triangular_reduce(A, lam, gamma, w=w, tol=args.tol)
         cls, lam_out = red.invariant()
@@ -218,8 +211,8 @@ def _cmd_normalize(args):
 
 def _cmd_qdiff(args):
     obj = _load_json(args.input)
-    A = LoopMatrix.from_json(obj["matrix"])
-    theta = _complex_of(obj["theta"], "theta")
+    A = LoopMatrix.from_json(json_field(obj, "matrix", args.input))
+    theta = json_complex(json_field(obj, "theta", args.input), "theta")
     w = _parse_window(args.window) if args.window else None
     g = qdiff_solve(A, theta, max_iter=args.max_iter, tol=args.tol, w=w)
     if w is None:

@@ -19,8 +19,8 @@ import cmath
 from fractions import Fraction
 
 from .errors import DomainMismatch, MembershipError
-from .germs import (COMPLEX, EXACT, LaurentGerm, derivative, product_coeff,
-                    rescale, truncate_ge, truncate_le)
+from .germs import (COMPLEX, EXACT, LaurentGerm, derivative, json_field,
+                    product_coeff, rescale, truncate_ge, truncate_le)
 from .scalars import ExpScalar, QGamma, coerce, scalar_inv
 
 
@@ -125,7 +125,7 @@ class ExtendedElement:
 
     @classmethod
     def from_json(cls, obj):
-        f = LaurentGerm.from_json(obj["f"])
+        f = LaurentGerm.from_json(json_field(obj, "f", "element"))
         n = int(obj.get("n", 0))
         lam = obj.get("lambda", 1)
         gamma = obj.get("gamma", 1)
@@ -136,7 +136,8 @@ class ExtendedElement:
                 gamma = complex(gamma[0], gamma[1])
             return cls(n, f, lam, gamma)
         if isinstance(lam, dict):
-            lam = ExpScalar(QGamma.parse(lam["unit"]),
+            unit = json_field(lam, "unit", "lambda")
+            lam = ExpScalar(QGamma.parse(unit),
                             QGamma.parse(lam.get("log", "0")))
         else:
             lam = ExpScalar(QGamma.parse(str(lam)))

@@ -4,13 +4,24 @@ A germ is a finite coefficient slice ``sum_{n} c_n z^n`` held in canonical
 trimmed form, tagged with a scalar domain (``"complex"`` or ``"exact"``)
 and an informational radius.  All window-sensitive operations take an
 explicit :class:`TruncationWindow`.
+
+The hot kernels work on coefficient arrays.  A complex product is one
+``np.convolve`` of the two coefficient tuples, sliced to the window;
+exact (Q[Gamma^+-1]) products keep a sparse double loop.  ``germ_exp`` and
+``germ_log`` run the Newton recurrences ``n e_n = sum_k k u_k e_{n-k}``
+and ``n l_n = n u_n - sum_{k<n} k l_k u_{n-k}`` once, in O(order^2)
+(Brent & Kung, J. ACM 1978): one ``np.dot`` per coefficient over the
+complex domain, the same loop over ``QGamma`` over the exact one.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainMismatch, OneSidedError, ParseError
 from .scalars import COMPLEX, EXACT, QGamma, coerce, scalar_is_zero
@@ -74,6 +85,24 @@ class LaurentGerm:
         return cls(n, (c,), domain, radius)
 
     @classmethod
+    def from_array(cls, n_min, values, radius=1.0):
+        """Complex germ whose coefficient of ``z**(n_min + k)`` is
+        ``values[k]``; trims zero ends without a per-coefficient coerce."""
+        values = np.asarray(values, dtype=complex)
+        nz = np.flatnonzero(values)
+        germ = object.__new__(cls)
+        if nz.size:
+            lo, hi = int(nz[0]), int(nz[-1]) + 1
+            object.__setattr__(germ, "n_min", int(n_min) + lo)
+            object.__setattr__(germ, "coeffs", tuple(values[lo:hi].tolist()))
+        else:
+            object.__setattr__(germ, "n_min", 0)
+            object.__setattr__(germ, "coeffs", ())
+        object.__setattr__(germ, "radius", float(radius))
+        object.__setattr__(germ, "domain", COMPLEX)
+        return germ
+
+    @classmethod
     def from_dict(cls, d, domain=COMPLEX, radius=1.0):
         if not d:
             return cls.zero(domain, radius)
@@ -95,6 +124,16 @@ class LaurentGerm:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return self._zero_scalar()
+
+    def to_array(self, lo, hi):
+        """Complex coefficients at exponents ``lo..hi`` as an ndarray,
+        zero outside the support."""
+        out = np.zeros(max(hi - lo + 1, 0), dtype=complex)
+        a, b = max(self.n_min, lo), min(self.n_max, hi)
+        if a <= b:
+            out[a - lo:b - lo + 1] = self.coeffs[a - self.n_min:
+                                                 b - self.n_min + 1]
+        return out
 
     def _zero_scalar(self):
         return 0j if self.domain == COMPLEX else QGamma.zero()
@@ -137,11 +176,19 @@ class LaurentGerm:
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
         self._check_domain(other)
+        radius = min(self.radius, other.radius)
+        if self.domain == COMPLEX:
+            terms = [g for g in (self, other) if g.coeffs]
+            if not terms:
+                return LaurentGerm.zero(COMPLEX, radius)
+            lo = min(g.n_min for g in terms)
+            hi = max(g.n_max for g in terms)
+            return LaurentGerm.from_array(
+                lo, self.to_array(lo, hi) + other.to_array(lo, hi), radius)
         out = dict(self.items())
         for n, c in other.items():
             out[n] = out.get(n, 0) + c
-        return LaurentGerm.from_dict(out, self.domain,
-                                     min(self.radius, other.radius))
+        return LaurentGerm.from_dict(out, self.domain, radius)
 
     def __neg__(self):
         return LaurentGerm(self.n_min, [-c for c in self.coeffs],
@@ -156,8 +203,25 @@ class LaurentGerm:
                            self.domain, self.radius)
 
     def mul(self, other, w=None):
-        """Cauchy product, clipped to window ``w`` when given."""
+        """Cauchy product, clipped to window ``w`` when given.
+
+        Complex germs convolve their coefficient arrays; exact germs run
+        a sparse double loop over their nonzero terms.
+        """
         self._check_domain(other)
+        radius = min(self.radius, other.radius)
+        if self.domain == COMPLEX:
+            if not (self.coeffs and other.coeffs):
+                return LaurentGerm.zero(COMPLEX, radius)
+            n_min = self.n_min + other.n_min
+            lo, hi = n_min, self.n_max + other.n_max
+            if w is not None:
+                lo, hi = max(lo, w.lo), min(hi, w.hi)
+                if lo > hi:
+                    return LaurentGerm.zero(COMPLEX, radius)
+            prod = np.convolve(self.coeffs, other.coeffs)
+            return LaurentGerm.from_array(
+                lo, prod[lo - n_min:hi - n_min + 1], radius)
         out = {}
         for n, c in self.items():
             for m, d in other.items():
@@ -165,8 +229,7 @@ class LaurentGerm:
                 if w is not None and not w.contains(k):
                     continue
                 out[k] = out.get(k, 0) + c * d
-        return LaurentGerm.from_dict(out, self.domain,
-                                     min(self.radius, other.radius))
+        return LaurentGerm.from_dict(out, self.domain, radius)
 
     def evaluate(self, z):
         if self.domain != COMPLEX:
@@ -184,24 +247,52 @@ class LaurentGerm:
 
     @classmethod
     def from_json(cls, obj):
+        coeffs = json_field(obj, "coeffs", "germ")
+        if not isinstance(coeffs, list):
+            raise ParseError("germ field 'coeffs' must be a list")
         try:
-            coeffs = obj["coeffs"]
             n_min = int(obj.get("n_min", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad germ object: {exc}") from None
-        radius = float(obj.get("radius", 1.0))
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError(f"germ field 'n_min' must be an integer, "
+                             f"got {obj['n_min']!r}") from None
+        try:
+            radius = float(obj.get("radius", 1.0))
+        except (TypeError, ValueError):
+            radius = math.nan
+        if not math.isfinite(radius):
+            raise ParseError(f"germ field 'radius' must be a finite "
+                             f"number, got {obj['radius']!r}")
         if all(isinstance(c, str) for c in coeffs) and coeffs:
             vals = [QGamma.parse(c) for c in coeffs]
             return cls(n_min, vals, EXACT, radius)
-        vals = []
-        for c in coeffs:
-            if isinstance(c, (list, tuple)) and len(c) == 2:
-                vals.append(complex(c[0], c[1]))
-            elif isinstance(c, (int, float)):
-                vals.append(complex(c))
-            else:
-                raise ParseError(f"bad coefficient {c!r}")
+        vals = [json_complex(c, f"germ field 'coeffs[{k}]'")
+                for k, c in enumerate(coeffs)]
         return cls(n_min, vals, COMPLEX, radius)
+
+
+def json_complex(value, what):
+    """A finite complex number from JSON ``[re, im]`` or a plain number,
+    or a :class:`ParseError` that names ``what``."""
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 \
+        else [value, 0.0]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise ParseError(f"{what}: expected a number or [re, im], got "
+                         f"{value!r}")
+    z = complex(parts[0], parts[1])
+    if not cmath.isfinite(z):
+        raise ParseError(f"{what}: non-finite value {value!r}")
+    return z
+
+
+def json_field(obj, key, what):
+    """``obj[key]`` of a parsed JSON object, or a :class:`ParseError`
+    that names the missing field."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what}: expected a JSON object, got "
+                         f"{type(obj).__name__}")
+    if key not in obj:
+        raise ParseError(f"{what}: missing field {key!r}")
+    return obj[key]
 
 
 # ---------------------------------------------------------------------------
@@ -302,71 +393,102 @@ def _one_sided_direction(f):
         f"[{f.n_min}, {f.n_max}]")
 
 
+def _series(f, direction, order):
+    """Coefficients ``u_0..u_order`` of a one-sided germ as a power series
+    in ``t = z**direction``, zero-padded: an ndarray over the complex
+    domain, a list of ``QGamma`` over the exact one."""
+    coeffs = f.coeffs if direction > 0 else f.coeffs[::-1]
+    start = f.n_min if direction > 0 else -f.n_max
+    if f.domain == COMPLEX:
+        u = np.zeros(order + 1, dtype=complex)
+        head = coeffs[:max(order + 1 - start, 0)]
+        u[start:start + len(head)] = head
+        return u
+    zero = f._zero_scalar()
+    return ([zero] * start + list(coeffs) + [zero] * (order + 1))[:order + 1]
+
+
+def _band(u):
+    """Index of the last nonzero entry of a coefficient sequence."""
+    if isinstance(u, np.ndarray):
+        nz = np.flatnonzero(u)
+        return int(nz[-1]) if nz.size else 0
+    return max((k for k, c in enumerate(u) if not scalar_is_zero(c)),
+               default=0)
+
+
+def _from_series(e, direction, domain, radius):
+    """Germ with coefficient ``e[n]`` at ``z**(direction * n)``."""
+    lo = 0 if direction > 0 else 1 - len(e)
+    e = e if direction > 0 else e[::-1]
+    if domain == COMPLEX:
+        return LaurentGerm.from_array(lo, e, radius)
+    return LaurentGerm(lo, e, domain, radius)
+
+
 def germ_exp(f, w):
     """exp of a one-sided germ, truncated to ``w``.
 
     Over the exact domain the constant term must vanish (its exponential
     would leave the ring); over complex it is folded in numerically.
+    Coefficients come from ``n e_n = sum_k k u_k e_{n-k}``.
     """
     direction = _one_sided_direction(f)
     c0 = f.coeff_at(0)
-    if not scalar_is_zero(c0):
-        if f.domain == EXACT:
-            raise DomainMismatch(
-                "exact exp needs a vanishing constant term")
-        base = cmath.exp(c0)
-    else:
-        base = None
-    u = truncate_gt(f, 0) if direction > 0 else truncate_lt(f, 0)
+    if not scalar_is_zero(c0) and f.domain == EXACT:
+        raise DomainMismatch("exact exp needs a vanishing constant term")
     order = w.hi if direction > 0 else -w.lo
-    out = LaurentGerm.one(f.domain, f.radius)
-    term = LaurentGerm.one(f.domain, f.radius)
-    for k in range(1, order + 1):
-        term = term.mul(u, w)
-        if term.is_zero():
-            break
-        if f.domain == EXACT:
-            term = term.scale(Fraction(1, k))
-        else:
-            term = term.scale(1.0 / k)
-        out = out + term
-    if base is not None:
-        out = out.scale(base)
-    return out
+    u = _series(f, direction, order)
+    if f.domain == EXACT:
+        return _from_series(bell_coeffs(u[1:_band(u) + 1], 1, order),
+                            direction, EXACT, f.radius)
+    band = _band(u)
+    ku = (np.arange(band + 1) * u[:band + 1])[:0:-1]  # k u_k, k = band..1
+    e = np.zeros(order + 1, dtype=complex)
+    e[0] = cmath.exp(c0)
+    for n in range(1, order + 1):
+        m = min(n, band)
+        e[n] = np.dot(ku[band - m:], e[n - m:n]) / n
+    return _from_series(e, direction, COMPLEX, f.radius)
 
 
 def germ_log(f, w):
     """log of a one-sided germ with invertible constant term.
 
     Over the exact domain the constant term must be exactly 1.
+    Coefficients come from ``n l_n = n v_n - sum_{k<n} k l_k v_{n-k}``
+    with ``v = f / f_0``.
     """
     direction = _one_sided_direction(f)
     c0 = f.coeff_at(0)
     if scalar_is_zero(c0):
         raise DomainMismatch("log needs a nonzero constant term")
-    if f.domain == EXACT:
-        if not (isinstance(c0, QGamma) and c0.is_one()):
-            raise DomainMismatch("exact log needs constant term 1")
-        base = None
-        u = f - LaurentGerm.one(EXACT, f.radius)
-    else:
-        base = cmath.log(c0)
-        u = f.scale(1.0 / c0) - LaurentGerm.one(COMPLEX, f.radius)
+    if f.domain == EXACT and not (isinstance(c0, QGamma) and c0.is_one()):
+        raise DomainMismatch("exact log needs constant term 1")
     order = w.hi if direction > 0 else -w.lo
-    out = LaurentGerm.zero(f.domain, f.radius)
-    term = LaurentGerm.one(f.domain, f.radius)
-    for k in range(1, order + 1):
-        term = term.mul(u, w)
-        if term.is_zero():
-            break
-        sign = 1 if k % 2 == 1 else -1
-        if f.domain == EXACT:
-            out = out + term.scale(Fraction(sign, k))
-        else:
-            out = out + term.scale(sign / k)
-    if base is not None and base != 0:
-        out = out + LaurentGerm.monomial(0, base, COMPLEX, f.radius)
-    return out
+    v = _series(f, direction, order)
+    if f.domain == EXACT:
+        band = _band(v)
+        kl = [QGamma.zero()] * (order + 1)  # k l_k
+        for n in range(1, order + 1):
+            acc = v[n] * n
+            for j in range(1, min(n - 1, band) + 1):
+                if not v[j].is_zero():
+                    acc = acc - v[j] * kl[n - j]
+            kl[n] = acc
+        ell = [QGamma.zero()] + [c * Fraction(1, n)
+                                 for n, c in enumerate(kl) if n]
+        return _from_series(ell, direction, EXACT, f.radius)
+    v = v / c0
+    band = _band(v)
+    vr = v[band:0:-1]  # v_k, k = band..1
+    kl = np.zeros(order + 1, dtype=complex)
+    for n in range(1, order + 1):
+        m = min(n - 1, band)
+        kl[n] = n * v[n] - np.dot(vr[band - m:], kl[n - m:n])
+    ell = kl / np.maximum(np.arange(order + 1), 1)
+    ell[0] = cmath.log(c0)
+    return _from_series(ell, direction, COMPLEX, f.radius)
 
 
 def truncate_window(f, w):

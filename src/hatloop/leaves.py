@@ -362,11 +362,13 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
     """Solve -A21 g(Theta z) g(z) - A11 g(Gamma^2 z) + A22 g(z) + A12 = 0.
 
     ``gamma2`` is Gamma^2 (the principal square root of Theta when
-    omitted).  Fixed-point iteration: the linear part
-    ``-A11 g(Gamma^2 z) + A22 g(z)`` is solved for the windowed
-    coefficients of ``g``, the quadratic term is fed back from the
-    previous iterate, repeating until the full residual drops below
-    ``tol``.
+    omitted).  Newton iteration on the windowed coefficients of ``g``,
+    starting from ``g = 0``: each step solves the Jacobian of the full
+    (quadratic) defect, then halves the step until the largest residual
+    coefficient decreases (backtracking line search), repeating until it
+    drops below ``tol``.  Raises :class:`SmallDivisor` when the linear
+    part is near-singular and :class:`ConvergenceError` when no step
+    decreases the residual or ``max_iter`` steps do not reach ``tol``.
     """
     theta = _check_theta(theta)
     if gamma2 is None:
@@ -376,20 +378,6 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
     a21, a22 = A[1, 0], A[1, 1]
     if w is None:
         w = _auto_window(a11, a12, a21, a22)
-    modes = list(range(w.lo, w.hi + 1))
-    index = {n: i for i, n in enumerate(modes)}
-    dim = len(modes)
-    def to_vec(f):
-        v = np.zeros(dim, dtype=complex)
-        for n, c in f.items():
-            if n in index:
-                v[index[n]] = c
-        return v
-
-    def to_germ(v):
-        return LaurentGerm.from_dict(
-            {n: complex(v[i]) for i, n in enumerate(modes)}, COMPLEX,
-            a11.radius)
 
     def defect(g):
         return truncate_window(
@@ -401,13 +389,12 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
 
     def jacobian(g):
         gt = rescale(g, theta)
-        mat = np.zeros((dim, dim), dtype=complex)
-        for j, n in enumerate(modes):
+        mat = np.zeros((w.hi - w.lo + 1,) * 2, dtype=complex)
+        for j, n in enumerate(range(w.lo, w.hi + 1)):
             e = LaurentGerm.monomial(n, 1.0)
             col = (-a21.mul(rescale(e, theta).mul(g, w) + gt.mul(e, w), w)
                    - a11.mul(rescale(e, gamma2), w) + a22.mul(e, w))
-            for i_mode, c in truncate_window(col, w).items():
-                mat[index[i_mode], j] += c
+            mat[:, j] = col.to_array(w.lo, w.hi)
         return mat
 
     base = jacobian(LaurentGerm.zero())
@@ -425,12 +412,12 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
             return g
         mat = base if g.is_zero() else jacobian(g)
         try:
-            delta = np.linalg.solve(mat, -to_vec(r))
+            delta = np.linalg.solve(mat, -r.to_array(w.lo, w.hi))
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(delta)):
             break
-        dg = to_germ(delta)
+        dg = LaurentGerm.from_array(w.lo, delta, a11.radius)
         step = 1.0
         for _ in range(24):
             g_try = g + dg.scale(step)

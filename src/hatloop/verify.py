@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .birkhoff import (LoopMatrix, birkhoff_matrix2, birkhoff_scalar,
-                       winding_number)
+from .birkhoff import (LoopMatrix, _circle_samples, birkhoff_matrix2,
+                       birkhoff_scalar, winding_number)
 from .errors import ConvergenceError, SmallDivisor
 from .extgroup import (DoubleElement, ExtendedElement, HatAlgebraElement,
                        bilinear_form, double_form, hat_inv, hat_mul,
@@ -308,11 +308,7 @@ def _rand_matrix_loop(rng, band, cmax):
                 0, 4.0 + abs(entries[i][i].coeff_at(0)))
         F = LoopMatrix(entries)
         det = F.det(None)
-        ts = np.exp(2j * np.pi * np.arange(256) / 256)
-        vals = np.zeros(256, dtype=complex)
-        for n, c in det.items():
-            vals += c * ts ** n
-        if np.min(np.abs(vals)) <= 0.5:
+        if np.min(np.abs(_circle_samples(det, 256))) <= 0.5:
             continue
         # keep the determinant bounded away from zero on a fat annulus,
         # not just on the circle itself

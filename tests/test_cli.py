@@ -114,3 +114,24 @@ def test_verify_unknown_suite(capsys):
 
 def test_usage_error(capsys):
     assert main(["factorize"]) == 2
+
+
+def test_nonfinite_coefficient_exit_2(capsys, tmp_path):
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        loop = tmp_path / "loop.json"
+        loop.write_text('{"n_min": 0, "coeffs": [[1.0, 0.0], [%s, 0.0]]}'
+                        % bad)
+        assert main(["factorize", str(loop)]) == 2
+        err = capsys.readouterr().err
+        assert "coeffs[1]" in err and "non-finite" in err
+
+
+def test_missing_field_exit_2(capsys, tmp_path):
+    src = tmp_path / "system.json"
+    src.write_text(json.dumps({"theta": [16.0, 0.0]}))
+    assert main(["qdiff", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert "missing field 'matrix'" in err
+    src.write_text(json.dumps({"n_min": 0}))
+    assert main(["factorize", str(src)]) == 2
+    assert "missing field 'coeffs'" in capsys.readouterr().err
