@@ -17,9 +17,9 @@ from .birkhoff import LoopMatrix, birkhoff_matrix2, birkhoff_scalar
 from .errors import HatloopError, ParseError
 from .extgroup import ExtendedElement, hat_inv, hat_mul, \
     twisted_commutator
-from .germs import LaurentGerm, json_complex, json_field, rescale, \
-    truncate_window, window
-from .leaves import gl1_diagonalize, qdiff_solve, sl2_triangular_reduce
+from .germs import LaurentGerm, json_complex, json_field, window
+from .leaves import (gl1_diagonalize, qdiff_defect, qdiff_solve,
+                     sl2_triangular_reduce)
 from .poisson import (PoissonPoly, antipode, bracket, coproduct,
                       frobenius)
 from .verify import run_suite
@@ -86,14 +86,6 @@ def _parse_window(text):
         raise ParseError(f"bad window {text!r}, expected LO:HI") from None
 
 
-def _germ_json(f):
-    return f.to_json()
-
-
-def _matrix_json(m):
-    return m.to_json()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -104,15 +96,15 @@ def _cmd_factorize(args):
         F = LoopMatrix.from_json(obj)
         w = _parse_window(args.window) if args.window else None
         fact = birkhoff_matrix2(F, w=w, tol=args.tol)
-        doc = {"f_plus": _matrix_json(fact.f_plus),
+        doc = {"f_plus": fact.f_plus.to_json(),
                "indices": list(fact.indices),
-               "f_minus": _matrix_json(fact.f_minus)}
+               "f_minus": fact.f_minus.to_json()}
     else:
         f = LaurentGerm.from_json(obj)
         w = _parse_window(args.window) if args.window else None
         f_plus, n, f_minus = birkhoff_scalar(f, w=w)
-        doc = {"f_plus": _germ_json(f_plus), "index": n,
-               "f_minus": _germ_json(f_minus)}
+        doc = {"f_plus": f_plus.to_json(), "index": n,
+               "f_minus": f_minus.to_json()}
     _emit(doc, args.output)
     return 0
 
@@ -215,16 +207,8 @@ def _cmd_qdiff(args):
     theta = json_complex(json_field(obj, "theta", args.input), "theta")
     w = _parse_window(args.window) if args.window else None
     g = qdiff_solve(A, theta, max_iter=args.max_iter, tol=args.tol, w=w)
-    if w is None:
-        from .leaves import _auto_window
-        w = _auto_window(A[0, 0], A[0, 1], A[1, 0], A[1, 1])
-    gamma2 = complex(theta) ** 0.5
-    r = (A[1, 0].mul(rescale(g, theta), None).mul(g, w).scale(-1.0)
-         - A[0, 0].mul(rescale(g, gamma2), w) + A[1, 1].mul(g, w)
-         + A[0, 1])
-    resid = max((abs(c) for _, c in truncate_window(r, w).items()),
-                default=0.0)
-    _emit({"g": _germ_json(g), "residual": resid}, args.output)
+    resid = max(map(abs, qdiff_defect(A, g, theta, w).coeffs), default=0.0)
+    _emit({"g": g.to_json(), "residual": resid}, args.output)
     return 0
 
 

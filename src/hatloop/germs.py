@@ -12,6 +12,10 @@ exact (Q[Gamma^+-1]) products keep a sparse double loop.  ``germ_exp`` and
 and ``n l_n = n u_n - sum_{k<n} k l_k u_{n-k}`` once, in O(order^2)
 (Brent & Kung, J. ACM 1978): one ``np.dot`` per coefficient over the
 complex domain, the same loop over ``QGamma`` over the exact one.
+Complex unary operations (``rescale``, ``scale``, negation, ``split_pm``
+and the ``truncate_*`` clips) are array operations on the coefficients,
+rebuilt through ``LaurentGerm.from_array``; clips slice the coefficient
+tuple in both domains.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ class LaurentGerm:
         """Complex germ whose coefficient of ``z**(n_min + k)`` is
         ``values[k]``; trims zero ends without a per-coefficient coerce."""
         values = np.asarray(values, dtype=complex)
-        nz = np.flatnonzero(values)
+        nz = values.nonzero()[0]
         germ = object.__new__(cls)
         if nz.size:
             lo, hi = int(nz[0]), int(nz[-1]) + 1
@@ -191,6 +195,10 @@ class LaurentGerm:
         return LaurentGerm.from_dict(out, self.domain, radius)
 
     def __neg__(self):
+        if self.domain == COMPLEX:
+            return LaurentGerm.from_array(
+                self.n_min, -np.asarray(self.coeffs, dtype=complex),
+                self.radius)
         return LaurentGerm(self.n_min, [-c for c in self.coeffs],
                            self.domain, self.radius)
 
@@ -199,6 +207,10 @@ class LaurentGerm:
 
     def scale(self, scalar):
         scalar = coerce(scalar, self.domain)
+        if self.domain == COMPLEX:
+            return LaurentGerm.from_array(
+                self.n_min, scalar * np.asarray(self.coeffs, dtype=complex),
+                self.radius)
         return LaurentGerm(self.n_min, [scalar * c for c in self.coeffs],
                            self.domain, self.radius)
 
@@ -309,20 +321,19 @@ def germ_mul(f, g, w):
 
 def split_pm(f):
     """Split into (plus part: exponents >= 0, minus part: exponents < 0)."""
-    plus = {n: c for n, c in f.items() if n >= 0}
-    minus = {n: c for n, c in f.items() if n < 0}
-    return (LaurentGerm.from_dict(plus, f.domain, f.radius),
-            LaurentGerm.from_dict(minus, f.domain, f.radius))
+    return truncate_ge(f, 0), truncate_lt(f, 0)
 
 
 def rescale(f, gamma):
     """z -> gamma * z on the argument: coefficient n picks up gamma**n."""
     gamma = _rescale_factor(gamma, f.domain)
+    if f.domain == COMPLEX:
+        powers = gamma ** np.arange(f.n_min, f.n_min + len(f.coeffs))
+        return LaurentGerm.from_array(
+            f.n_min, powers * np.asarray(f.coeffs, dtype=complex),
+            f.radius / abs(gamma))
     out = {n: (gamma ** n) * c for n, c in f.items()}
-    radius = f.radius
-    if f.domain == COMPLEX and gamma != 0:
-        radius = f.radius / abs(gamma)
-    return LaurentGerm.from_dict(out, f.domain, radius)
+    return LaurentGerm.from_dict(out, f.domain, f.radius)
 
 
 def _rescale_factor(gamma, domain):
@@ -362,14 +373,24 @@ def product_coeff(f, g, n):
     return total
 
 
+def _clip(f, lo, hi):
+    """The terms of ``f`` with exponents in ``lo..hi``: a slice of its
+    coefficients."""
+    lo, hi = max(lo, f.n_min), min(hi, f.n_max)
+    if lo > hi:
+        return LaurentGerm.zero(f.domain, f.radius)
+    part = f.coeffs[lo - f.n_min:hi - f.n_min + 1]
+    if f.domain == COMPLEX:
+        return LaurentGerm.from_array(lo, part, f.radius)
+    return LaurentGerm(lo, part, f.domain, f.radius)
+
+
 def truncate_ge(f, n):
-    return LaurentGerm.from_dict({m: c for m, c in f.items() if m >= n},
-                                 f.domain, f.radius)
+    return _clip(f, n, f.n_max)
 
 
 def truncate_le(f, n):
-    return LaurentGerm.from_dict({m: c for m, c in f.items() if m <= n},
-                                 f.domain, f.radius)
+    return _clip(f, f.n_min, n)
 
 
 def truncate_gt(f, n):
@@ -492,8 +513,7 @@ def germ_log(f, w):
 
 
 def truncate_window(f, w):
-    return LaurentGerm.from_dict(
-        {n: c for n, c in f.items() if w.contains(n)}, f.domain, f.radius)
+    return _clip(f, w.lo, w.hi)
 
 
 def bell_coeffs(h, sign, order):

@@ -5,6 +5,19 @@ elliptic quotient E = C^*/(z ~ Theta z) with Theta = Gamma^4 only makes
 sense away from the unit modulus case, and all the divisors
 (Gamma^n - Gamma^-n) appearing in the normal-form constructions are
 guarded by a small-divisor tolerance rather than regularized.
+
+The q-difference solver runs Newton on the window coefficients of ``g``.
+Its Jacobian is assembled from Toeplitz blocks rather than column by
+column: with ``T(h)[i, j] = h_{m_i - m_j}`` over the window modes ``m``
+and ``D_c = diag(c^m)``,
+
+    J(g) = -T(A21) (T(g) D_Theta + T(g(Theta z))) - T(A11) D_{Gamma^2}
+           + T(A22),
+
+which is the matrix of ``delta -> -A21 [delta(Theta z) g + g(Theta z)
+delta]_w - A11 delta(Gamma^2 z) + A22 delta`` with every product clipped
+to the window ``w``.  The last two terms (the linear part) are built
+once per solve.
 """
 
 from __future__ import annotations
@@ -304,7 +317,9 @@ def sl2_triangular_reduce(A, lam, gamma, w=None, eps=EPS_DIVISOR,
     its constant invariant alpha, then a unipotent lower conjugation
     with ``c_n = -B_n / (alpha Theta^n - alpha^{-1})`` removes the
     corner entry.  alpha in +-Gamma^{2Z} makes those divisors vanish
-    and is rejected as non-generic.
+    and is rejected as non-generic.  The determinant must be 1 within
+    ``tol * max(1, A.max_abs())`` on the window, the scale of the final
+    residual check.
     """
     gamma = complex(gamma)
     if abs(abs(gamma) - 1) < 1e-12:
@@ -318,7 +333,8 @@ def sl2_triangular_reduce(A, lam, gamma, w=None, eps=EPS_DIVISOR,
     if winding_number(a11) != 0:
         raise NonGeneric("A11 must have winding number zero")
     det_diff = A.det(w) - LaurentGerm.one()
-    if max((abs(c) for _, c in det_diff.items()), default=0.0) > 1e-8:
+    if max(map(abs, det_diff.coeffs), default=0.0) > \
+            tol * max(1.0, A.max_abs()):
         raise DomainMismatch("determinant must be 1")
     u = log_coeffs(a11, w)
     alpha = cmath.exp(u.coeff_at(0))
@@ -357,47 +373,82 @@ def sl2_triangular_reduce(A, lam, gamma, w=None, eps=EPS_DIVISOR,
 # q-difference solver
 
 
+def _toeplitz(h, w):
+    """Window-by-window Toeplitz matrix ``T[i, j] = h_{m_i - m_j}`` of a
+    germ over the modes ``m = w.lo..w.hi``."""
+    size = w.hi - w.lo + 1
+    idx = np.arange(size)
+    return h.to_array(1 - size, size - 1)[idx[:, None] - idx[None, :]
+                                          + size - 1]
+
+
+def _gamma2(theta, gamma2):
+    return cmath.sqrt(theta) if gamma2 is None else complex(gamma2)
+
+
+def qdiff_defect(A, g, theta, w=None, gamma2=None):
+    """Defect ``-A21 g(Theta z) g(z) - A11 g(Gamma^2 z) + A22 g(z) + A12``
+    of ``g``, clipped to ``w`` (the automatic window of ``A`` when
+    omitted); ``gamma2`` defaults to the principal square root of
+    Theta."""
+    theta = complex(theta)
+    gamma2 = _gamma2(theta, gamma2)
+    a11, a12 = A[0, 0], A[0, 1]
+    a21, a22 = A[1, 0], A[1, 1]
+    if w is None:
+        w = _auto_window(a11, a12, a21, a22)
+    return truncate_window(
+        -a21.mul(rescale(g, theta), None).mul(g, w)
+        - a11.mul(rescale(g, gamma2), w) + a22.mul(g, w) + a12, w)
+
+
+def qdiff_jacobian(A, g, theta, w, gamma2=None, linear=None):
+    """Newton matrix of :func:`qdiff_defect` at ``g`` on the window modes:
+    ``-T(A21) (T(g) D_Theta + T(g(Theta z))) + linear`` with the linear
+    part ``linear = -T(A11) D_{Gamma^2} + T(A22)`` (built here when not
+    passed in); see the module docstring."""
+    theta = complex(theta)
+    modes = np.arange(w.lo, w.hi + 1)
+    if linear is None:
+        gamma2 = _gamma2(theta, gamma2)
+        linear = (-_toeplitz(A[0, 0], w) * gamma2 ** modes
+                  + _toeplitz(A[1, 1], w))
+    if g.is_zero():
+        return linear
+    inner = (_toeplitz(g, w) * theta ** modes
+             + _toeplitz(rescale(g, theta), w))
+    return linear - _toeplitz(A[1, 0], w) @ inner
+
+
 def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
                 eps=EPS_DIVISOR):
     """Solve -A21 g(Theta z) g(z) - A11 g(Gamma^2 z) + A22 g(z) + A12 = 0.
 
     ``gamma2`` is Gamma^2 (the principal square root of Theta when
     omitted).  Newton iteration on the windowed coefficients of ``g``,
-    starting from ``g = 0``: each step solves the Jacobian of the full
-    (quadratic) defect, then halves the step until the largest residual
-    coefficient decreases (backtracking line search), repeating until it
-    drops below ``tol``.  Raises :class:`SmallDivisor` when the linear
-    part is near-singular and :class:`ConvergenceError` when no step
-    decreases the residual or ``max_iter`` steps do not reach ``tol``.
+    starting from ``g = 0``: each step solves the Jacobian
+
+        J(g) = -T(A21) (T(g) D_Theta + T(g(Theta z))) - T(A11) D_{Gamma^2}
+               + T(A22)
+
+    (``T(h)`` the window Toeplitz matrix of ``h``, ``D_c = diag(c^m)``
+    over the window modes ``m``; the linear part, J(0), is built once),
+    then halves the step until the largest residual coefficient of
+    :func:`qdiff_defect` decreases (backtracking line search), repeating
+    until it drops below ``tol``.  Raises :class:`SmallDivisor` when the
+    linear part is near-singular and :class:`ConvergenceError` when no
+    step decreases the residual or ``max_iter`` steps do not reach
+    ``tol``.
     """
     theta = _check_theta(theta)
-    if gamma2 is None:
-        gamma2 = cmath.sqrt(theta)
-    gamma2 = complex(gamma2)
-    a11, a12 = A[0, 0], A[0, 1]
-    a21, a22 = A[1, 0], A[1, 1]
+    gamma2 = _gamma2(theta, gamma2)
     if w is None:
-        w = _auto_window(a11, a12, a21, a22)
-
-    def defect(g):
-        return truncate_window(
-            -a21.mul(rescale(g, theta), None).mul(g, w)
-            - a11.mul(rescale(g, gamma2), w) + a22.mul(g, w) + a12, w)
+        w = _auto_window(A[0, 0], A[0, 1], A[1, 0], A[1, 1])
 
     def rmax(r):
-        return max((abs(c) for _, c in r.items()), default=0.0)
+        return max(map(abs, r.coeffs), default=0.0)
 
-    def jacobian(g):
-        gt = rescale(g, theta)
-        mat = np.zeros((w.hi - w.lo + 1,) * 2, dtype=complex)
-        for j, n in enumerate(range(w.lo, w.hi + 1)):
-            e = LaurentGerm.monomial(n, 1.0)
-            col = (-a21.mul(rescale(e, theta).mul(g, w) + gt.mul(e, w), w)
-                   - a11.mul(rescale(e, gamma2), w) + a22.mul(e, w))
-            mat[:, j] = col.to_array(w.lo, w.hi)
-        return mat
-
-    base = jacobian(LaurentGerm.zero())
+    base = qdiff_jacobian(A, LaurentGerm.zero(), theta, w, gamma2)
     if np.linalg.cond(base) > 1.0 / max(eps, 1e-14):
         raise SmallDivisor("linear part of the q-difference "
                            "equation is near-singular")
@@ -405,23 +456,23 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
     # Newton with backtracking: a plain fixed-point sweep amplifies
     # window-edge noise by Theta^n and diverges for generic data.
     g = LaurentGerm.zero()
-    r = defect(g)
+    r = qdiff_defect(A, g, theta, w, gamma2)
     res = rmax(r)
     for _ in range(max_iter):
         if res <= tol:
             return g
-        mat = base if g.is_zero() else jacobian(g)
+        mat = qdiff_jacobian(A, g, theta, w, linear=base)
         try:
             delta = np.linalg.solve(mat, -r.to_array(w.lo, w.hi))
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(delta)):
             break
-        dg = LaurentGerm.from_array(w.lo, delta, a11.radius)
+        dg = LaurentGerm.from_array(w.lo, delta, A[0, 0].radius)
         step = 1.0
         for _ in range(24):
             g_try = g + dg.scale(step)
-            r_try = defect(g_try)
+            r_try = qdiff_defect(A, g_try, theta, w, gamma2)
             res_try = rmax(r_try)
             if res_try < res or res_try <= tol:
                 g, r, res = g_try, r_try, res_try

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from hatloop.birkhoff import LoopMatrix
 from hatloop.cli import main
+from hatloop.germs import LaurentGerm
+from hatloop.leaves import qdiff_defect
 
 
 def run(capsys, *argv):
@@ -135,3 +138,20 @@ def test_missing_field_exit_2(capsys, tmp_path):
     src.write_text(json.dumps({"n_min": 0}))
     assert main(["factorize", str(src)]) == 2
     assert "missing field 'coeffs'" in capsys.readouterr().err
+
+
+def test_qdiff_reports_solver_residual(capsys, tmp_path):
+    A = LoopMatrix(
+        [[LaurentGerm.from_dict({0: 1.5, 1: 0.1, -1: -0.05}),
+          LaurentGerm.from_dict({0: 0.05, 1: 0.02})],
+         [LaurentGerm.from_dict({0: 0.05, -1: 0.02}),
+          LaurentGerm.from_dict({0: -1.2, 2: 0.08})]])
+    src = tmp_path / "system.json"
+    src.write_text(json.dumps({"matrix": A.to_json(), "theta": [16.0, 0.0]}))
+    code, out = run(capsys, "qdiff", str(src), "--tol", "1e-9")
+    assert code == 0
+    doc = json.loads(out)
+    g = LaurentGerm.from_json(doc["g"])
+    assert not g.is_zero()
+    resid = max(abs(c) for c in qdiff_defect(A, g, 16.0).coeffs)
+    assert doc["residual"] == resid <= 1e-9

@@ -2,10 +2,13 @@
 
 Each reference below is written out term by term, independent of the
 package's kernels: power series by repeated dict products, Cauchy
-products by a double loop, circle values by direct evaluation and the
-minus-factor system entry by entry.
+products by a double loop, circle values by direct evaluation, the
+minus-factor system entry by entry, the q-difference Jacobian column by
+column and the unary germ operations coefficient by coefficient.
 """
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +18,10 @@ import pytest
 from hatloop.birkhoff import (LoopMatrix, _circle_samples,
                               _minus_factor_system, log_coeffs,
                               reciprocal_coeffs, winding_number)
-from hatloop.germs import LaurentGerm, germ_exp, germ_log, window
+from hatloop.germs import (LaurentGerm, germ_exp, germ_log, rescale,
+                           split_pm, truncate_ge, truncate_gt, truncate_le,
+                           truncate_lt, truncate_window, window)
+from hatloop.leaves import qdiff_defect, qdiff_jacobian
 from hatloop.scalars import COMPLEX, EXACT, QGamma
 
 
@@ -206,3 +212,170 @@ def test_log_coeffs_do_not_alias_at_band_100():
     assert abs(logs.coeff_at(424)) < 1e-12
     inv = reciprocal_coeffs(f, w)
     assert abs(inv.coeff_at(424)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# q-difference Jacobian
+
+
+def _column_jacobian(A, g, theta, w, gamma2):
+    """Column n: the windowed image of the monomial z^n under the
+    linearized q-difference operator at g."""
+    a11, a21, a22 = A[0, 0], A[1, 0], A[1, 1]
+    gt = rescale(g, theta)
+    mat = np.zeros((w.hi - w.lo + 1,) * 2, dtype=complex)
+    for j, n in enumerate(range(w.lo, w.hi + 1)):
+        e = LaurentGerm.monomial(n, 1.0)
+        col = (-a21.mul(rescale(e, theta).mul(g, w) + gt.mul(e, w), w)
+               - a11.mul(rescale(e, gamma2), w) + a22.mul(e, w))
+        mat[:, j] = col.to_array(w.lo, w.hi)
+    return mat
+
+
+def _qdiff_matrix(rng, band):
+    return LoopMatrix(
+        [[_complex_germ(rng, -band, band) + LaurentGerm.monomial(0, 1.5),
+          _complex_germ(rng, -band, band)],
+         [_complex_germ(rng, -band, band),
+          _complex_germ(rng, -band, band) - LaurentGerm.monomial(0, 1.5)]])
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("case", ["zero", "random", "asymmetric", "wide"])
+def test_qdiff_jacobian_matches_column_build(case):
+    rng = random.Random(len(case))
+    theta, gamma2 = 2.5 + 0.5j, cmath.sqrt(2.5 + 0.5j)
+    w = window(-6, 6)
+    A = _qdiff_matrix(rng, 2)
+    g = _complex_germ(rng, -6, 6).scale(0.1)
+    if case == "zero":
+        g = LaurentGerm.zero()
+    elif case == "asymmetric":
+        w = window(-3, 7)
+        g = _complex_germ(rng, -3, 7).scale(0.1)
+    elif case == "wide":  # entries of A reach beyond the window
+        w = window(-4, 4)
+        A = _qdiff_matrix(rng, 11)
+        g = _complex_germ(rng, -6, 6).scale(0.1)  # so does g
+    ref = _column_jacobian(A, g, theta, w, gamma2)
+    assert _rel_err(qdiff_jacobian(A, g, theta, w, gamma2), ref) < 1e-13
+    linear = qdiff_jacobian(A, LaurentGerm.zero(), theta, w, gamma2)
+    assert _rel_err(qdiff_jacobian(A, g, theta, w, linear=linear),
+                    ref) < 1e-13
+
+
+def test_qdiff_jacobian_matches_defect_differences():
+    # g and delta sit well inside the window, so no product the defect
+    # forms is clipped and J(g) is its exact derivative.  The defect is
+    # quadratic, so the central difference is exact up to rounding.
+    rng = random.Random(3)
+    theta = 16.0
+    w = window(-10, 10)
+    A = _qdiff_matrix(rng, 2)
+    g = _complex_germ(rng, -2, 2).scale(0.1)
+    delta = _complex_germ(rng, -2, 2)
+    h = 1e-3
+    diff = (qdiff_defect(A, g + delta.scale(h), theta, w)
+            - qdiff_defect(A, g - delta.scale(h), theta, w))
+    jd = qdiff_jacobian(A, g, theta, w) @ delta.to_array(w.lo, w.hi)
+    assert _rel_err(jd, diff.to_array(w.lo, w.hi) / (2 * h)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# unary germ operations
+
+
+def _by_terms(f, fn, radius=None):
+    """Germ with coefficient ``fn(n, c)`` for every term ``c z^n`` of f
+    that ``fn`` keeps (returns not None)."""
+    out = {}
+    for n, c in f.items():
+        v = fn(n, c)
+        if v is not None:
+            out[n] = v
+    return LaurentGerm.from_dict(
+        out, f.domain, f.radius if radius is None else radius)
+
+
+def _unary_germs():
+    rng = random.Random(21)
+    f = _complex_germ(rng, -5, 4)
+    return [f, LaurentGerm.zero(radius=0.5),
+            LaurentGerm.monomial(-3, 2 - 1j, radius=2.0),
+            f + LaurentGerm.monomial(0, -f.coeff_at(0))]  # interior zero
+
+
+def _same(got, ref, tol=0.0):
+    """Equal germs and radii; complex coefficients within ``tol``
+    relative when it is given."""
+    assert got.radius == ref.radius
+    assert all(type(c) is type(d) for c, d in zip(got.coeffs, ref.coeffs))
+    if not tol:
+        assert got == ref
+        return
+    assert got.domain == ref.domain
+    assert (got.n_min, len(got.coeffs)) == (ref.n_min, len(ref.coeffs))
+    assert all(abs(c - d) <= tol * abs(d)
+               for c, d in zip(got.coeffs, ref.coeffs))
+
+
+@pytest.mark.parametrize("gamma", [2.0, -0.5, 1.5 - 0.75j, 1j])
+def test_complex_rescale_matches_termwise(gamma):
+    for f in _unary_germs():
+        ref = _by_terms(f, lambda n, c: gamma ** n * c,
+                        f.radius / abs(gamma))
+        _same(rescale(f, gamma), ref, 1e-15)
+
+
+@pytest.mark.parametrize("scalar", [3, -0.25, 0.5 + 2j, 0])
+def test_complex_scale_and_neg_match_termwise(scalar):
+    for f in _unary_germs():
+        _same(f.scale(scalar), _by_terms(f, lambda n, c: scalar * c))
+        _same(-f, _by_terms(f, lambda n, c: -c))
+
+
+CLIPS = [(-2, 3), (0, 0), (-9, 9), (5, 8), (-8, -6), (1, 1)]
+
+
+def _check_clips(f, tol=0.0):
+    for lo, hi in CLIPS:
+        def keep(a, b):
+            return lambda n, c: c if a <= n <= b else None
+        if lo <= 0 <= hi:
+            _same(truncate_window(f, window(lo, hi)), _by_terms(
+                f, keep(lo, hi)))
+        _same(truncate_ge(f, lo), _by_terms(f, keep(lo, math.inf)))
+        _same(truncate_gt(f, lo), _by_terms(f, keep(lo + 1, math.inf)))
+        _same(truncate_le(f, hi), _by_terms(f, keep(-math.inf, hi)))
+        _same(truncate_lt(f, hi), _by_terms(f, keep(-math.inf, hi - 1)))
+    plus, minus = split_pm(f)
+    _same(plus, _by_terms(f, lambda n, c: c if n >= 0 else None))
+    _same(minus, _by_terms(f, lambda n, c: c if n < 0 else None))
+
+
+def test_complex_clips_match_termwise():
+    for f in _unary_germs():
+        _check_clips(f)
+    # clips that leave nothing keep the domain and the radius
+    f = LaurentGerm.from_dict({2: 1.0, 3: -1j}, radius=0.7)
+    for empty in (truncate_window(f, window(-1, 1)), truncate_ge(f, 4),
+                  truncate_le(f, 1), split_pm(f)[1]):
+        assert empty.is_zero() and empty.radius == 0.7
+
+
+def test_exact_unary_ops_unchanged():
+    f = LaurentGerm(-3, [QGamma({1: Fraction(1, 2)}), QGamma.zero(),
+                         QGamma({-2: Fraction(3)}), QGamma.one(),
+                         QGamma({0: Fraction(-5, 7), 2: Fraction(1)})],
+                    EXACT)
+    gamma = QGamma({1: Fraction(2)})
+    _same(rescale(f, gamma), _by_terms(f, lambda n, c: gamma ** n * c))
+    _same(f.scale(Fraction(-2, 3)),
+          _by_terms(f, lambda n, c: c * Fraction(-2, 3)))
+    _same(-f, _by_terms(f, lambda n, c: -c))
+    _check_clips(f)
+    _check_clips(LaurentGerm.zero(EXACT))
+    assert rescale(LaurentGerm.zero(EXACT), gamma) == LaurentGerm.zero(EXACT)

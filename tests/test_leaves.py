@@ -115,6 +115,23 @@ def test_sl2_reduce_replay():
     assert err < 1e-8
 
 
+def test_sl2_reduce_det_tolerance_scales_with_entries():
+    # A11 = 3 (1 + r z) and A22 its inverse cut after z^7: det = 1 -
+    # (-r)^8 z^8, a defect of 2.1e-8 on entries of size 3, within the
+    # relative tolerance; a defect of 3e-6 is not.
+    r = 0.11
+    a11 = LaurentGerm.from_dict({0: 3.0, 1: 3.0 * r})
+    a22 = LaurentGerm.from_dict({n: (-r) ** n / 3.0 for n in range(8)})
+    b = LaurentGerm.from_dict({-1: 0.3, 0: 0.2, 1: -0.25})
+    A = LoopMatrix([[a11, LaurentGerm.zero()], [b, a22]])
+    red = sl2_triangular_reduce(A, 0.9, 2.0)
+    assert abs(red.alpha - 3.0) < 1e-8
+    off = LoopMatrix([[a11, LaurentGerm.zero()],
+                      [b, a22 + LaurentGerm.monomial(3, 1e-6)]])
+    with pytest.raises(DomainMismatch, match="determinant"):
+        sl2_triangular_reduce(off, 0.9, 2.0)
+
+
 def test_sl2_reduce_rejects_resonant_alpha():
     A = _triangular_sample()
     # alpha = Gamma^2 = 4 makes the corner divisor vanish
