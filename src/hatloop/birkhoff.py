@@ -3,16 +3,22 @@
 Scalar loops are factorized through the logarithm: sample the loop on the
 unit circle, remove the winding monomial, take a continuous branch of the
 log, recover its Laurent coefficients by FFT and split them into the
-plus/minus parts.  2x2 matrix loops are factorized by solving the linear
-system that characterizes the minus factor for a candidate index pair,
-searching index candidates from the balanced pair outwards.
+plus/minus parts.
+
+2x2 matrix loops ``F = F_plus diag(z^n1, z^n2) F_minus`` read their
+partial indices from the rank of one finite Toeplitz matrix (Gohberg &
+Krein, Uspekhi Mat. Nauk 13(2), 1958; Adukov, St. Petersburg Math. J.
+4(1), 1993): the columns g with exponents -depth..0 for which ``F g`` has
+no term below ``z^k`` form, up to a tail that vanishes as depth grows, a
+space of dimension ``sum_j max(n_j - k + 1, 0)``.  At ``k = floor(n/2) +
+1`` (n the winding of det F) that is ``n1 - floor(n/2)``.  The minus
+factor for that pair is then the least-squares solution of columns of
+the same matrix.
 
 Circle sampling is one inverse FFT of the coefficients folded modulo the
 sample count.  The sample count is at least the smallest power of two
 >= 2 (window span + band) of the input, so the sampled window never
-aliases onto itself (Trefethen & Weideman, SIAM Rev. 2014).  The
-minus-factor system is assembled from Toeplitz slices of dense
-coefficient arrays, one block per matrix entry.
+aliases onto itself (Trefethen & Weideman, SIAM Rev. 2014).
 """
 
 from __future__ import annotations
@@ -22,10 +28,16 @@ import math
 import numpy as np
 
 from .errors import (FactorizationFailed, ParseError, SingularLoop)
-from .germs import LaurentGerm, germ_exp, json_field, split_pm, window
+from .germs import (LaurentGerm, germ_exp, json_field, split_pm, truncate_ge,
+                    window)
 
 EPS_ZERO = 1e-12
 N_SAMPLES = 512
+# Singular values below KERNEL_RTOL times the largest count as kernel in
+# the partial-index Toeplitz system.  On 72 constructed loops with indices
+# up to (20, -20) the kernel values were <= 9e-7 and the next one up
+# >= 2e-2; on the benchmark's matrix loops the smallest is >= 4.8e-2.
+KERNEL_RTOL = 1e-4
 
 
 def _circle_samples(f, nsamples):
@@ -162,14 +174,6 @@ class LoopMatrix:
         c, d = self.entries[1]
         return a.mul(d, w) - b.mul(c, w)
 
-    def scale_monomial(self, n, col):
-        """Multiply column ``col`` by z**n."""
-        shift = LaurentGerm.monomial(n, 1.0)
-        out = [[self.entries[i][j] if j != col
-                else self.entries[i][j].mul(shift, None)
-                for j in range(2)] for i in range(2)]
-        return LoopMatrix(out)
-
     def allclose(self, other, tol=1e-9):
         return all(self.entries[i][j].allclose(other.entries[i][j], tol)
                    for i in range(2) for j in range(2))
@@ -228,30 +232,38 @@ def in_identity_component(F, nsamples=N_SAMPLES):
     return winding_number(F.det(None), nsamples) == 0
 
 
+def _toeplitz_system(F, k, depth):
+    """Toeplitz matrix of ``g -> (F g)`` below ``z^k``.
+
+    Columns are the coefficients of g_0 then g_1 at z^-depth..z^0.  Row
+    (r, e), for ``e_lo = band_lo - depth <= e < k``, holds the
+    coefficient of z^e in (F g)_r: block (r, j) is the slice
+    ``F_rj[(e - e_lo) - m]`` of a dense coefficient array of F_rj
+    starting at ``e_lo``.
+    """
+    e_lo = F.band()[0] - depth
+    ne = max(k - e_lo, 0)
+    toeplitz = np.arange(ne)[:, None] - np.arange(-depth, 1)[None, :]
+    return np.vstack([
+        np.hstack([F[r, j].to_array(e_lo, e_lo + ne + depth - 1)[toeplitz]
+                   for j in range(2)])
+        for r in range(2)])
+
+
 def _minus_factor_system(F, indices, i, depth):
     """Least-squares system ``(A, b)`` for column ``i`` of G.
 
     The unknowns are the coefficients of G_0i and G_1i at z^-depth..z^-1,
     then (column 0 when n1 > n2) the constant of G_10.  Row (r, e) asks
-    the coefficient of z^e in (F G)[r, i] to vanish, for ``e_lo <= e <
-    n_i``; block (r, j) is the Toeplitz slice ``F_rj[(e - e_lo) - k]`` of
-    a dense coefficient array of F_rj starting at ``e_lo``.
+    the coefficient of z^e in (F G)[r, i] to vanish, for ``e < n_i``: the
+    columns of ``_toeplitz_system`` at ``k = n_i`` for those unknowns,
+    and minus the (j = i, z^0) column, since G_ii has constant 1.
     """
-    n1, n2 = indices
-    e_lo = F.band()[0] - depth
-    ne = max(indices[i] - e_lo, 0)
-    toeplitz = np.arange(ne)[:, None] - np.arange(-depth, 0)[None, :]
-    blocks, rhs = [], []
-    for r in range(2):
-        dense = [F[r, j].to_array(e_lo, e_lo + ne + depth - 1)
-                 for j in range(2)]
-        row = [dense[0][toeplitz], dense[1][toeplitz]]
-        if i == 0 and n1 > n2:
-            row.append(dense[1][:ne, None])
-        blocks.append(np.hstack(row))
-        # the k = 0 term of G_ii is the fixed constant 1
-        rhs.append(-dense[i][:ne])
-    return np.vstack(blocks), np.concatenate(rhs)
+    T = _toeplitz_system(F, indices[i], depth)
+    cols = list(range(depth)) + list(range(depth + 1, 2 * depth + 1))
+    if i == 0 and indices[0] > indices[1]:
+        cols.append(2 * depth + 1)
+    return T[:, cols], -T[:, i * (depth + 1) + depth]
 
 
 def _solve_minus_factor(F, n1, n2, depth):
@@ -261,10 +273,9 @@ def _solve_minus_factor(F, n1, n2, depth):
     to vanish.  G is normalized to G(inf) = I when n1 == n2; for
     n1 > n2 the (2,1) entry keeps a free constant (the normalization
     at infinity is then unit lower triangular, the general form the
-    sorted indices allow).  Returns (G, residual).
+    sorted indices allow).
     """
     entries = [[None, None], [None, None]]
-    resids = []
     for i in range(2):
         A, b = _minus_factor_system(F, (n1, n2), i, depth)
         try:
@@ -272,26 +283,28 @@ def _solve_minus_factor(F, n1, n2, depth):
             sol = np.linalg.solve(r, q.conj().T @ b)
         except np.linalg.LinAlgError:
             sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resids.append(np.linalg.norm(A @ sol - b))
         for j in range(2):
             const = 1.0 if j == i else 0.0
             if j == 1 and i == 0 and n1 > n2:
                 const = sol[2 * depth]
             entries[j][i] = LaurentGerm.from_array(
                 -depth, np.append(sol[j * depth:(j + 1) * depth], const))
-    return LoopMatrix(entries), max(resids)
+    return LoopMatrix(entries)
 
 
-def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9,
-                     max_steps=8):
+def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9):
     """Birkhoff factorization ``F = F_plus * diag(z^n1, z^n2) * F_minus``.
 
     ``F`` must be a 2x2 Laurent-polynomial loop with determinant bounded
-    away from zero on the unit circle.  Index candidates are searched from
-    the balanced pair outwards; each candidate is validated by the
-    reconstruction residual, invertibility of ``F_plus`` at 0 and the
-    minus normalization.  Raises :class:`FactorizationFailed` after
-    ``max_steps`` candidates.
+    away from zero on the unit circle.  With ``n = n1 + n2`` the winding
+    of det F, the larger index ``n1`` is ``floor(n/2)`` plus the kernel
+    dimension of the Toeplitz map ``g -> (F g)`` below ``z^(floor(n/2)
+    + 1)`` on columns g with exponents ``-depth..0`` (Gohberg-Krein;
+    Adukov).  At each of five depths, doubling from ``-w.lo``, the pair
+    read there is solved for and validated by the reconstruction
+    residual and the invertibility of ``F_plus`` at 0.  Raises
+    :class:`FactorizationFailed` naming the last pair and residual when
+    no depth passes ``tol``.
     """
     det = F.det(None)
     n_total = winding_number(det, max(nsamples, N_SAMPLES))
@@ -303,21 +316,15 @@ def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9,
     depth0 = -w.lo
 
     def attempt(n1, n2, depth):
-        G, resid = _solve_minus_factor(F, n1, n2, depth)
+        G = _solve_minus_factor(F, n1, n2, depth)
         FG = F.mul(G, None)
-        plus = [[None, None], [None, None]]
-        for i in range(2):
-            for r in range(2):
-                g = FG.entries[r][i].mul(
-                    LaurentGerm.monomial(-(n1 if i == 0 else n2), 1.0),
-                    None)
-                plus[r][i] = _chop(LaurentGerm.from_dict(
-                    {n: c for n, c in g.items() if n >= 0}))
-        F_plus = LoopMatrix(plus)
+        F_plus = LoopMatrix([[_chop(truncate_ge(FG[r, i].mul(
+            LaurentGerm.monomial(-(n1, n2)[i], 1.0), None), 0))
+            for i in range(2)] for r in range(2)])
         det0 = (F_plus[0, 0].coeff_at(0) * F_plus[1, 1].coeff_at(0)
                 - F_plus[0, 1].coeff_at(0) * F_plus[1, 0].coeff_at(0))
         if abs(det0) <= 1e-10 * scale * scale:
-            return None, resid
+            return None, math.inf
         # invert G through its adjugate; det(G) is minus type with
         # value 1 at infinity, so the reciprocal is sampled stably.
         wd = window(-depth, 0)
@@ -330,27 +337,24 @@ def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9,
                                for j in range(2)] for i in range(2)])
         fact = Factorization(F_plus, (n1, n2), F_minus)
         recon = fact.reconstruct(None)
-        err = max(max((abs(c) for _, c in
-                       (recon[i, j] - F[i, j]).items()), default=0.0)
-                  for i in range(2) for j in range(2))
+        lo, hi = recon.band()
+        lo, hi = min(lo, lo_band), max(hi, hi_band)
+        err = float(np.max(np.abs([recon[i, j].to_array(lo, hi)
+                                   - F[i, j].to_array(lo, hi)
+                                   for i in range(2) for j in range(2)])))
         return fact, err
 
-    # rank index candidates by the defect of the minus-factor system at
-    # a moderate depth, then refine the most promising ones.
-    n1_base = -(-n_total // 2)  # ceil
-    ranked = []
-    for step in range(max_steps):
-        n1 = n1_base + step
-        _, resid = _solve_minus_factor(F, n1, n_total - n1, depth0)
-        ranked.append((resid, n1))
-    ranked.sort()
-    for _, n1 in ranked[:3]:
+    for depth in (depth0 << step for step in range(5)):
+        # n1 is floor(n/2) plus the kernel dimension at k = floor(n/2) + 1,
+        # read at every depth: a short one hides slowly decaying kernels
+        T = _toeplitz_system(F, n_total // 2 + 1, depth)
+        sv = np.linalg.svd(T, compute_uv=False)
+        n1 = n_total // 2 + T.shape[1] - int(np.count_nonzero(
+            sv >= KERNEL_RTOL * sv[0]))
         n2 = n_total - n1
-        depth = depth0
-        for _ in range(5):
-            fact, err = attempt(n1, n2, depth)
-            if fact is not None and err <= tol:
-                return fact
-            depth *= 2
+        fact, err = attempt(n1, n2, depth)
+        if fact is not None and err <= tol:
+            return fact
     raise FactorizationFailed(
-        f"no index candidate within {max_steps} steps of the balanced pair")
+        f"partial indices ({n1}, {n2}): round-trip residual {err:.3g} "
+        f"above tol {tol:g} at depth {depth}")

@@ -283,10 +283,6 @@ class Sl2Reduction:
     def invariant(self):
         return elliptic_class(self.alpha, self.theta), self.lam
 
-    def equivalent_to(self, other, tol=1e-8):
-        return sl2_diag_equivalent(self.alpha, self.lam, other.alpha,
-                                   other.lam, self.theta, tol)
-
     def diagonal(self):
         return LoopMatrix(
             [[LaurentGerm.monomial(0, self.alpha), LaurentGerm.zero()],

@@ -8,7 +8,7 @@ from hatloop.birkhoff import (
     LoopMatrix, birkhoff_matrix2, birkhoff_scalar, in_identity_component,
     log_coeffs, reciprocal_coeffs, winding_number,
 )
-from hatloop.errors import SingularLoop
+from hatloop.errors import FactorizationFailed, SingularLoop
 from hatloop.germs import LaurentGerm, germ_exp, window
 
 W = window(-8, 8)
@@ -111,3 +111,83 @@ def test_matrix_factorization_roundtrip():
                   for i in range(2) for j in range(2)
                   for n in range(-10, 11))
         assert err <= 1e-9
+
+
+def _perturbation(rng, exponents):
+    return g({n: complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))
+              for n in exponents})
+
+
+def _split_loop(a, b, seed):
+    """``P diag(z^a, z^b) M`` with P = I + (exponents 0..2) and M = I +
+    (diagonal exponents -2..0, off-diagonal -2..-1).  Every coefficient
+    is at most 0.05 in real and imaginary part, so |det - 1| < 0.6 for
+    det P on the closed unit disc and det M outside it: the partial
+    indices are exactly (a, b)."""
+    rng = random.Random(seed)
+    one = LaurentGerm.one()
+    P = LoopMatrix([[one + _perturbation(rng, range(3)) if i == j
+                     else _perturbation(rng, range(3)) for j in range(2)]
+                    for i in range(2)])
+    M = LoopMatrix([[one + _perturbation(rng, range(-2, 1)) if i == j
+                     else _perturbation(rng, range(-2, 0)) for j in range(2)]
+                    for i in range(2)])
+    D = LoopMatrix([[LaurentGerm.monomial(a), LaurentGerm.zero()],
+                    [LaurentGerm.zero(), LaurentGerm.monomial(b)]])
+    return P.mul(D).mul(M)
+
+
+def _near_circle_loop(a, coupled):
+    """``P diag(z^a, z^-a) M`` with a zero of det M at 0.9 or 0.877, so
+    that F_minus^-1 decays slowly: the kernel vector's tail at the
+    starting depth is far above KERNEL_RTOL."""
+    if not coupled:
+        P = LoopMatrix.identity()
+        M = LoopMatrix([[g({0: 1, -1: -0.9}), g({})], [g({}), g({0: 1})]])
+    else:
+        P = LoopMatrix([[g({0: 1}), g({1: 0.3})],
+                        [g({1: 0.2}), g({0: 1, 2: 0.06})]])
+        M = LoopMatrix([[g({0: 1, -1: -0.9}), g({-1: 0.4})],
+                        [g({-1: -0.05}), g({0: 1})]])
+    D = LoopMatrix([[LaurentGerm.monomial(a), LaurentGerm.zero()],
+                    [LaurentGerm.zero(), LaurentGerm.monomial(-a)]])
+    return P.mul(D).mul(M)
+
+
+_SPLIT_CASES = [pytest.param(_split_loop(a, b, seed=100 * a - b), (a, b),
+                             None, id=f"{a},{b}")
+                for a, b in [(0, 0), (1, 0), (2, 0), (4, -2), (5, -5),
+                             (8, -8), (9, -8), (12, 0), (20, -20)]]
+_SPLIT_CASES += [pytest.param(_near_circle_loop(a, coupled), (a, -a), w,
+                              id=f"near-{a},{-a}-{kind}-{wid}")
+                 for a, coupled, kind in [(1, False, "diag"),
+                                          (1, True, "coupled"),
+                                          (2, True, "coupled")]
+                 for w, wid in [(None, "auto"), (window(-12, 12), "w12")]]
+_SPLIT_CASES += [pytest.param(_split_loop(3, -2, seed=5), (3, -2),
+                              window(-2, 2), id="3,-2-w2")]
+
+
+@pytest.mark.parametrize("F,indices,w", _SPLIT_CASES)
+def test_matrix_split_indices(F, indices, w):
+    fact = birkhoff_matrix2(F, w)
+    assert fact.indices == indices
+    recon = fact.reconstruct()
+    lo, hi = F.band()
+    lo, hi = min(lo, recon.band()[0]), max(hi, recon.band()[1])
+    err = max(abs(recon[i, j].coeff_at(n) - F[i, j].coeff_at(n))
+              for i in range(2) for j in range(2) for n in range(lo, hi + 1))
+    assert err <= 1e-9
+    # F_minus(inf) is unit lower triangular
+    at_inf = [[fact.f_minus[i, j].coeff_at(0) for j in range(2)]
+              for i in range(2)]
+    assert abs(at_inf[0][0] - 1) < 1e-12 and abs(at_inf[1][1] - 1) < 1e-12
+    assert abs(at_inf[0][1]) < 1e-12
+    assert all(fact.f_minus[i, j].n_max <= 0
+               for i in range(2) for j in range(2))
+
+
+def test_matrix_unreachable_tol_names_the_pair():
+    F = _split_loop(2, -1, seed=3)
+    with pytest.raises(FactorizationFailed, match=r"\(2, -1\)"):
+        birkhoff_matrix2(F, W, tol=1e-300)

@@ -3,8 +3,9 @@
 Each reference below is written out term by term, independent of the
 package's kernels: power series by repeated dict products, Cauchy
 products by a double loop, circle values by direct evaluation, the
-minus-factor system entry by entry, the q-difference Jacobian column by
-column and the unary germ operations coefficient by coefficient.
+partial-index Toeplitz matrix and the minus-factor system entry by
+entry, the q-difference Jacobian column by column and the unary germ
+operations coefficient by coefficient.
 """
 
 import cmath
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from hatloop.birkhoff import (LoopMatrix, _circle_samples,
-                              _minus_factor_system, log_coeffs,
-                              reciprocal_coeffs, winding_number)
+                              _minus_factor_system, _toeplitz_system,
+                              log_coeffs, reciprocal_coeffs, winding_number)
 from hatloop.germs import (LaurentGerm, germ_exp, germ_log, rescale,
                            split_pm, truncate_ge, truncate_gt, truncate_le,
                            truncate_lt, truncate_window, window)
@@ -179,6 +180,34 @@ def _reference_system(F, indices, i, depth):
             rows.append(row)
             rhs.append(-F[r, i].coeff_at(e))
     return np.array(rows), np.array(rhs)
+
+
+def _reference_toeplitz(F, k, depth):
+    """Entry-by-entry build of the partial-index Toeplitz matrix: row
+    (r, e) and column (j, m) hold the coefficient of z^(e - m) in F_rj."""
+    lo_band = min(g.n_min for row in F.entries for g in row
+                  if not g.is_zero())
+    rows = []
+    for r in range(2):
+        for e in range(lo_band - depth, k):
+            row = np.zeros(2 * (depth + 1), dtype=complex)
+            for j in range(2):
+                for m in range(-depth, 1):
+                    row[j * (depth + 1) + m + depth] = F[r, j].coeff_at(e - m)
+            rows.append(row)
+    return np.array(rows).reshape(-1, 2 * (depth + 1))
+
+
+@pytest.mark.parametrize("k", [-8, -3, 0, 1, 4])
+def test_toeplitz_system_matches_entrywise_build(k):
+    rng = random.Random(11 + k)
+    F = LoopMatrix([[_complex_germ(rng, -3, 2), _complex_germ(rng, -1, 4)],
+                    [_complex_germ(rng, 0, 3), _complex_germ(rng, -2, 2)]])
+    for depth in (1, 4, 9):
+        T = _toeplitz_system(F, k, depth)
+        T_ref = _reference_toeplitz(F, k, depth)
+        assert T.shape == T_ref.shape
+        assert np.array_equal(T, T_ref)
 
 
 @pytest.mark.parametrize("indices", [(0, 0), (2, -1), (1, 1), (3, -3)])
