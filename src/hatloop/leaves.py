@@ -6,6 +6,19 @@ sense away from the unit modulus case, and all the divisors
 (Gamma^n - Gamma^-n) appearing in the normal-form constructions are
 guarded by a small-divisor tolerance rather than regularized.
 
+The matrix solvers work on coefficient arrays and build germs only at
+the public boundary.  A 2x2 loop is one ``(2, 2, n)`` complex array
+``v`` with ``v[i, j, k]`` the coefficient of ``z^(lo + k)`` in entry
+``(i, j)``; a product is ``np.convolve`` of the entries, and clipping to
+a window ``w`` slices (or zero-pads) the last axis to ``w.lo..w.hi``.
+Matrix :func:`twisted_conjugate`, the flattening and corner steps of
+:func:`sl2_triangular_reduce` and the defect of the q-difference
+equation all follow the germ products they replace: inner products are
+not clipped, results are.  :func:`sl2_triangular_reduce` checks its
+result as a backward error: the conjugated loop must be diag(alpha,
+1/alpha) up to the corner term that the input's determinant defect
+contributes through c (see its docstring).
+
 The q-difference solver runs Newton on the window coefficients of ``g``.
 Its Jacobian is assembled from Toeplitz blocks rather than column by
 column: with ``T(h)[i, j] = h_{m_i - m_j}`` over the window modes ``m``
@@ -32,8 +45,7 @@ from .birkhoff import LoopMatrix, log_coeffs, reciprocal_coeffs, \
 from .errors import (ConvergenceError, DomainMismatch, NonGeneric,
                      SmallDivisor)
 from .extgroup import ExtendedElement, h_pair_is_member, hat_inv, hat_mul
-from .germs import (COMPLEX, LaurentGerm, germ_exp, rescale, split_pm,
-                    truncate_window, window)
+from .germs import COMPLEX, LaurentGerm, germ_exp, rescale, split_pm, window
 
 EPS_DIVISOR = 1e-10
 
@@ -237,12 +249,48 @@ def _auto_window(*germs):
     return window(lo, hi)
 
 
+def _mat_array(M, w=None):
+    """``(lo, v)``: the coefficients of a LoopMatrix as one ``(2, 2, n)``
+    array, ``v[i, j, k]`` at exponent ``lo + k``, over ``w`` when given
+    and else over the support of its entries."""
+    lo, hi = (w.lo, w.hi) if w is not None else M.band()
+    return lo, np.array([[M[i, j].to_array(lo, hi) for j in range(2)]
+                         for i in range(2)])
+
+
+def _on_window(v, lo, w):
+    """Coefficients at ``w.lo..w.hi`` (last axis) of an array ``v`` whose
+    first entry sits at exponent ``lo``; zero outside its support."""
+    out = np.zeros(v.shape[:-1] + (w.hi - w.lo + 1,), dtype=complex)
+    a, b = max(lo, w.lo), min(lo + v.shape[-1] - 1, w.hi)
+    if a <= b:
+        out[..., a - w.lo:b - w.lo + 1] = v[..., a - lo:b - lo + 1]
+    return out
+
+
+def _mat_mul(x, y):
+    """Unclipped product of two ``(lo, (2, 2, n) array)`` loop matrices."""
+    (xlo, xv), (ylo, yv) = x, y
+    return xlo + ylo, np.array(
+        [[np.convolve(xv[i, 0], yv[0, j]) + np.convolve(xv[i, 1], yv[1, j])
+          for j in range(2)] for i in range(2)])
+
+
+def _loop_matrix(v, lo, radius):
+    return LoopMatrix([[LaurentGerm.from_array(lo, v[i, j], radius)
+                        for j in range(2)] for i in range(2)])
+
+
 def twisted_conjugate(g, a, theta, w=None):
     """The action ``g . a = g(Theta z) a(z) g(z)^{-1}``.
 
     ``g`` and ``a`` are either both scalar loops (LaurentGerm) or both
     LoopMatrix; the result is truncated to ``w`` (an automatic window
-    wide enough for the inputs when omitted).
+    wide enough for the inputs when omitted).  Matrices run on
+    coefficient arrays: ``g^{-1} = adj(g) / det(g)`` with ``1 / det(g)``
+    from :func:`reciprocal_coeffs` on ``w`` and each entry of the
+    inverse clipped to ``w``; ``g(Theta z) a(z)`` is not clipped, the
+    result is.
     """
     theta = complex(theta)
     if isinstance(g, LaurentGerm):
@@ -253,14 +301,18 @@ def twisted_conjugate(g, a, theta, w=None):
     if w is None:
         w = _auto_window(*(g[i, j] for i in range(2) for j in range(2)),
                          *(a[i, j] for i in range(2) for j in range(2)))
-    g_shift = LoopMatrix([[rescale(g[i, j], theta) for j in range(2)]
-                          for i in range(2)])
-    det = g.det(None)
-    det_inv = reciprocal_coeffs(det, w)
-    adj = LoopMatrix([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-    g_inv = LoopMatrix([[adj[i, j].mul(det_inv, w) for j in range(2)]
-                        for i in range(2)])
-    return g_shift.mul(a, None).mul(g_inv, w)
+    glo, gv = _mat_array(g)
+    det = LaurentGerm.from_array(2 * glo, np.convolve(gv[0, 0], gv[1, 1])
+                                 - np.convolve(gv[0, 1], gv[1, 0]), g.radius)
+    det_inv = reciprocal_coeffs(det, w).to_array(w.lo, w.hi)
+    adj = np.array([[gv[1, 1], -gv[0, 1]], [-gv[1, 0], gv[0, 0]]])
+    g_inv = _on_window(
+        np.array([[np.convolve(x, det_inv) for x in row] for row in adj]),
+        glo + w.lo, w)
+    shift = gv * theta ** np.arange(glo, glo + gv.shape[-1])
+    lo, out = _mat_mul(_mat_mul((glo, shift), _mat_array(a)), (w.lo, g_inv))
+    return _loop_matrix(_on_window(out, lo, w), w.lo, min(
+        1.0, a.radius, g.radius / max(1.0, abs(theta))))
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +360,27 @@ def sl2_triangular_reduce(A, lam, gamma, w=None, eps=EPS_DIVISOR,
     """Reduce a lower-triangular unit-determinant loop to diag(a, 1/a)
     under Theta-twisted conjugation, Theta = Gamma^4.
 
-    A diagonal conjugation diag(e^g, e^{-g}) with
-    ``g_n = u_n / (1 - Theta^n)`` (u the log of A11) flattens A11 to
-    its constant invariant alpha, then a unipotent lower conjugation
-    with ``c_n = -B_n / (alpha Theta^n - alpha^{-1})`` removes the
-    corner entry.  alpha in +-Gamma^{2Z} makes those divisors vanish
-    and is rejected as non-generic.  The determinant must be 1 within
-    ``tol * max(1, A.max_abs())`` on the window, the scale of the final
-    residual check.
+    A diagonal conjugation d = diag(e, e^{-1}), ``e = exp(g)`` with
+    ``g_n = u_n / (1 - Theta^n)`` (u the log of A11), flattens A11 to
+    its constant invariant alpha: on window coefficient arrays,
+
+        b11 = e(Theta z) A11 e^{-1},   b21 = e^{-1}(Theta z) A21 e^{-1},
+        b22 = e^{-1}(Theta z) A22 e,
+
+    each inner product unclipped and the result clipped to ``w``.  A
+    unipotent lower conjugation with ``c_n = -b21_n / (alpha Theta^n -
+    alpha^{-1})`` then removes the corner entry.  alpha in +-Gamma^{2Z}
+    makes those divisors vanish and is rejected as non-generic.
+
+    The determinant must be 1 within ``tol * max(1, A.max_abs())`` on
+    the window, and the result is checked at that scale as a backward
+    error: ``final = twisted_conjugate(low, b)`` must have the diagonal
+    diag(alpha, 1/alpha) and zero upper corner, and its lower corner
+    must satisfy the equation c solved, ``final21 + c (b22 - 1/alpha)
+    = 0``.  The term ``c (b22 - 1/alpha)`` is the input's determinant
+    defect (b22 misses 1/alpha by it) times c; near +-Gamma^{2Z} the
+    divisors make c large, and requiring ``final21 = 0`` outright would
+    reject loops whose defect the determinant check accepted.
     """
     gamma = complex(gamma)
     if abs(abs(gamma) - 1) < 1e-12:
@@ -328,39 +393,52 @@ def sl2_triangular_reduce(A, lam, gamma, w=None, eps=EPS_DIVISOR,
         w = _auto_window(a11, A[1, 0], A[1, 1])
     if winding_number(a11) != 0:
         raise NonGeneric("A11 must have winding number zero")
-    det_diff = A.det(w) - LaurentGerm.one()
-    if max(map(abs, det_diff.coeffs), default=0.0) > \
-            tol * max(1.0, A.max_abs()):
+    alo, av = _mat_array(A)
+    scale = tol * max(1.0, float(np.max(np.abs(av))))
+    det_diff = A.det(w).to_array(w.lo, w.hi)
+    det_diff[-w.lo] -= 1.0
+    if np.max(np.abs(det_diff)) > scale:
         raise DomainMismatch("determinant must be 1")
-    u = log_coeffs(a11, w)
-    alpha = cmath.exp(u.coeff_at(0))
-    g = {}
-    for n, c in u.items():
-        if n == 0:
-            continue
-        den = 1.0 - theta ** n
-        if abs(den) <= eps:
-            raise SmallDivisor(f"1 - Theta^{n} below tolerance")
-        g[n] = c / den
-    g = LaurentGerm.from_dict(g, COMPLEX, a11.radius)
-    zero = LaurentGerm.zero()
-    d = LoopMatrix([[_exp_scalar(g, w), zero], [zero, _exp_scalar(-g, w)]])
-    b = twisted_conjugate(d, A, theta, w)
-    c = {}
-    for n, coeff in b[1, 0].items():
-        den = alpha * theta ** n - 1.0 / alpha
-        if abs(den) <= eps:
-            raise NonGeneric(
-                "alpha is a power of Gamma^2 within tolerance")
-        c[n] = -coeff / den
-    c = LaurentGerm.from_dict(c, COMPLEX, a11.radius)
-    red = Sl2Reduction(alpha, lam, g, c, theta)
-    low = LoopMatrix([[LaurentGerm.one(), zero],
-                      [c, LaurentGerm.one()]])
-    final = twisted_conjugate(low, b, theta, w)
-    resid = max(max((abs(v) for _, v in (final[i, j] - red.diagonal()[
-        i, j]).items()), default=0.0) for i in range(2) for j in range(2))
-    if resid > tol * max(1.0, A.max_abs()):
+    modes = np.arange(w.lo, w.hi + 1)
+    u = log_coeffs(a11, w).to_array(w.lo, w.hi)
+    alpha = cmath.exp(u[-w.lo])
+    u[-w.lo] = 0.0
+    den = np.where(u != 0, 1.0 - theta ** modes, 1.0)
+    small = np.abs(den) <= eps
+    if small.any():
+        raise SmallDivisor(
+            f"1 - Theta^{modes[small.argmax()]} below tolerance")
+    g = LaurentGerm.from_array(w.lo, u / den, a11.radius)
+    e = _exp_scalar(g, w).to_array(w.lo, w.hi)
+    e_inv = _exp_scalar(-g, w).to_array(w.lo, w.hi)
+    powers = theta ** modes
+
+    def flatten(left, entry, right):
+        prod = np.convolve(np.convolve(left * powers, entry), right)
+        return _on_window(prod, 2 * w.lo + alo, w)
+
+    b11 = flatten(e, av[0, 0], e_inv)
+    b21 = flatten(e_inv, av[1, 0], e_inv)
+    b22 = flatten(e_inv, av[1, 1], e)
+    den = np.where(b21 != 0, alpha * powers - 1.0 / alpha, 1.0)
+    if (np.abs(den) <= eps).any():
+        raise NonGeneric("alpha is a power of Gamma^2 within tolerance")
+    c = -b21 / den
+    red = Sl2Reduction(alpha, lam, g, LaurentGerm.from_array(
+        w.lo, c, a11.radius), theta)
+    zero = np.zeros_like(c)
+    one = zero.copy()
+    one[-w.lo] = 1.0
+    final = twisted_conjugate(
+        _loop_matrix(np.array([[one, zero], [c, one]]), w.lo, a11.radius),
+        _loop_matrix(np.array([[b11, zero], [b21, b22]]), w.lo, a11.radius),
+        theta, w)
+    defect = _mat_array(final, w)[1] - np.array(
+        [[alpha * one, zero], [zero, one / alpha]])
+    defect[1, 0] += _on_window(np.convolve(c, b22 - one / alpha),
+                               2 * w.lo, w)
+    resid = float(np.max(np.abs(defect)))
+    if resid > scale:
         raise NonGeneric(f"reduction residual {resid} above tolerance")
     return red
 
@@ -382,6 +460,24 @@ def _gamma2(theta, gamma2):
     return cmath.sqrt(theta) if gamma2 is None else complex(gamma2)
 
 
+def _defect_on(A, theta, gamma2, w, glo, size):
+    """The q-difference defect as a function of the coefficient array of
+    ``g`` at exponents ``glo..glo + size - 1``, returning its window
+    array on ``w``: one ``np.convolve`` expression per term, the inner
+    product ``A21 g(Theta z)`` unclipped."""
+    alo, av = _mat_array(A)
+    modes = np.arange(glo, glo + size)
+    p_theta, p_gamma2 = theta ** modes, gamma2 ** modes
+    a12 = _on_window(av[0, 1], alo, w)
+
+    def defect(g):
+        quad = np.convolve(np.convolve(av[1, 0], g * p_theta), g)
+        lin = np.convolve(av[1, 1], g) - np.convolve(av[0, 0], g * p_gamma2)
+        return (a12 + _on_window(lin, alo + glo, w)
+                - _on_window(quad, alo + 2 * glo, w))
+    return defect
+
+
 def qdiff_defect(A, g, theta, w=None, gamma2=None):
     """Defect ``-A21 g(Theta z) g(z) - A11 g(Gamma^2 z) + A22 g(z) + A12``
     of ``g``, clipped to ``w`` (the automatic window of ``A`` when
@@ -389,13 +485,12 @@ def qdiff_defect(A, g, theta, w=None, gamma2=None):
     Theta."""
     theta = complex(theta)
     gamma2 = _gamma2(theta, gamma2)
-    a11, a12 = A[0, 0], A[0, 1]
-    a21, a22 = A[1, 0], A[1, 1]
     if w is None:
-        w = _auto_window(a11, a12, a21, a22)
-    return truncate_window(
-        -a21.mul(rescale(g, theta), None).mul(g, w)
-        - a11.mul(rescale(g, gamma2), w) + a22.mul(g, w) + a12, w)
+        w = _auto_window(A[0, 0], A[0, 1], A[1, 0], A[1, 1])
+    lo, hi = (g.n_min, g.n_max) if g.coeffs else (0, 0)
+    r = _defect_on(A, theta, gamma2, w, lo, hi - lo + 1)(g.to_array(lo, hi))
+    return LaurentGerm.from_array(w.lo, r, min(
+        A.radius, g.radius / max(1.0, abs(theta), abs(gamma2))))
 
 
 def qdiff_jacobian(A, g, theta, w, gamma2=None, linear=None):
@@ -441,35 +536,35 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
     if w is None:
         w = _auto_window(A[0, 0], A[0, 1], A[1, 0], A[1, 1])
 
-    def rmax(r):
-        return max(map(abs, r.coeffs), default=0.0)
-
     base = qdiff_jacobian(A, LaurentGerm.zero(), theta, w, gamma2)
     if np.linalg.cond(base) > 1.0 / max(eps, 1e-14):
         raise SmallDivisor("linear part of the q-difference "
                            "equation is near-singular")
 
-    # Newton with backtracking: a plain fixed-point sweep amplifies
-    # window-edge noise by Theta^n and diverges for generic data.
-    g = LaurentGerm.zero()
-    r = qdiff_defect(A, g, theta, w, gamma2)
-    res = rmax(r)
+    # Newton with backtracking on the window array of g: a plain
+    # fixed-point sweep amplifies window-edge noise by Theta^n and
+    # diverges for generic data.
+    defect = _defect_on(A, theta, gamma2, w, w.lo, w.hi - w.lo + 1)
+    radius = min(1.0, A[0, 0].radius)
+    g = np.zeros(w.hi - w.lo + 1, dtype=complex)
+    r = defect(g)
+    res = np.max(np.abs(r))
     for _ in range(max_iter):
         if res <= tol:
-            return g
-        mat = qdiff_jacobian(A, g, theta, w, linear=base)
+            break
+        mat = qdiff_jacobian(A, LaurentGerm.from_array(w.lo, g, radius),
+                             theta, w, linear=base)
         try:
-            delta = np.linalg.solve(mat, -r.to_array(w.lo, w.hi))
+            delta = np.linalg.solve(mat, -r)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(delta)):
             break
-        dg = LaurentGerm.from_array(w.lo, delta, A[0, 0].radius)
         step = 1.0
         for _ in range(24):
-            g_try = g + dg.scale(step)
-            r_try = qdiff_defect(A, g_try, theta, w, gamma2)
-            res_try = rmax(r_try)
+            g_try = g + step * delta
+            r_try = defect(g_try)
+            res_try = np.max(np.abs(r_try))
             if res_try < res or res_try <= tol:
                 g, r, res = g_try, r_try, res_try
                 break
@@ -477,7 +572,7 @@ def qdiff_solve(A, theta, max_iter=50, tol=1e-8, w=None, gamma2=None,
         else:
             break
     if res <= tol:
-        return g
+        return LaurentGerm.from_array(w.lo, g, radius)
     raise ConvergenceError(
         f"no solution with residual <= {tol} in {max_iter} iterations "
         f"(last residual {res:.3e})")

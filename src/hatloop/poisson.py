@@ -180,21 +180,6 @@ class PoissonPoly:
         (mon, coeff), = self.terms.items()
         return mon, coeff
 
-    def substitute(self, images):
-        """Algebra-homomorphic substitution: ``images`` maps generator
-        keys to PoissonPoly values (invertible images must be monomials
-        when raised to negative powers)."""
-        out = PoissonPoly.zero()
-        for mon, coeff in self.terms.items():
-            term = PoissonPoly.const(coeff)
-            for key, exp in mon:
-                img = images.get(key)
-                if img is None:
-                    img = PoissonPoly.gen(key[0], key[1])
-                term = term * img ** exp
-            out = out + term
-        return out
-
     def evaluate(self, point):
         """Numeric value at ``point``: a map from generator key to a
         complex number (missing invertible coordinates default to 1,

@@ -230,13 +230,6 @@ class QGamma(LaurentPoly):
     SYMBOL = "G"
 
 
-class QPoly(LaurentPoly):
-    """Laurent polynomials in the quantum parameter ``q`` over the
-    rationals (used by the q-Heisenberg oracle)."""
-
-    SYMBOL = "q"
-
-
 class ExpScalar:
     """Exact multiplicative scalar ``unit * exp(log)``.
 

@@ -4,8 +4,9 @@ Each reference below is written out term by term, independent of the
 package's kernels: power series by repeated dict products, Cauchy
 products by a double loop, circle values by direct evaluation, the
 partial-index Toeplitz matrix and the minus-factor system entry by
-entry, the q-difference Jacobian column by column and the unary germ
-operations coefficient by coefficient.
+entry, the q-difference Jacobian column by column, the unary germ
+operations coefficient by coefficient, and twisted conjugation, the sl2
+reduction and the q-difference defect by products of germs.
 """
 
 import cmath
@@ -22,7 +23,8 @@ from hatloop.birkhoff import (LoopMatrix, _circle_samples,
 from hatloop.germs import (LaurentGerm, germ_exp, germ_log, rescale,
                            split_pm, truncate_ge, truncate_gt, truncate_le,
                            truncate_lt, truncate_window, window)
-from hatloop.leaves import qdiff_defect, qdiff_jacobian
+from hatloop.leaves import (qdiff_defect, qdiff_jacobian,
+                            sl2_triangular_reduce, twisted_conjugate)
 from hatloop.scalars import COMPLEX, EXACT, QGamma
 
 
@@ -408,3 +410,134 @@ def test_exact_unary_ops_unchanged():
     _check_clips(f)
     _check_clips(LaurentGerm.zero(EXACT))
     assert rescale(LaurentGerm.zero(EXACT), gamma) == LaurentGerm.zero(EXACT)
+
+
+# ---------------------------------------------------------------------------
+# twisted conjugation, sl2 reduction and q-difference defect on arrays
+
+
+def _germ_twisted_conjugate(g, a, theta, w):
+    """``g(Theta z) a g^{-1}`` by LoopMatrix products of germs: the inner
+    product unclipped, ``g^{-1} = adj(g) / det(g)`` and the result
+    clipped to ``w``."""
+    g_shift = LoopMatrix([[rescale(g[i, j], theta) for j in range(2)]
+                          for i in range(2)])
+    det_inv = reciprocal_coeffs(g.det(None), w)
+    adj = LoopMatrix([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+    g_inv = LoopMatrix([[adj[i, j].mul(det_inv, w) for j in range(2)]
+                        for i in range(2)])
+    return g_shift.mul(a, None).mul(g_inv, w)
+
+
+def _germ_qdiff_defect(A, g, theta, w, gamma2):
+    return truncate_window(
+        -A[1, 0].mul(rescale(g, theta), None).mul(g, w)
+        - A[0, 0].mul(rescale(g, gamma2), w) + A[1, 1].mul(g, w) + A[0, 1],
+        w)
+
+
+def _two_sided_exp(f, w):
+    plus, minus = split_pm(f)
+    return germ_exp(plus, w).mul(germ_exp(minus, w), w)
+
+
+def _germ_sl2_reduce(A, gamma, w):
+    """alpha, the flattening exponent g and the corner c of a triangular
+    loop, by germ arithmetic: ``g_n = u_n / (1 - Theta^n)`` (u = log A11)
+    and ``c_n = -b_n / (alpha Theta^n - 1/alpha)`` with b the lower corner
+    of ``twisted_conjugate(diag(e^g, e^-g), A)`` built from germs."""
+    theta = complex(gamma) ** 4
+    u = log_coeffs(A[0, 0], w)
+    alpha = cmath.exp(u.coeff_at(0))
+    g = LaurentGerm.from_dict({n: c / (1.0 - theta ** n)
+                               for n, c in u.items() if n})
+    zero = LaurentGerm.zero()
+    d = LoopMatrix([[_two_sided_exp(g, w), zero],
+                    [zero, _two_sided_exp(-g, w)]])
+    b = _germ_twisted_conjugate(d, A, theta, w)[1, 0]
+    c = LaurentGerm.from_dict({n: -v / (alpha * theta ** n - 1.0 / alpha)
+                               for n, v in b.items()})
+    return alpha, g, c
+
+
+def _germ_rel_err(got, ref):
+    lo = min(got.n_min, ref.n_min)
+    hi = max(got.n_max, ref.n_max)
+    return _rel_err(got.to_array(lo, hi), ref.to_array(lo, hi))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_twisted_conjugate_matches_germ_products(seed):
+    # non-unit det(g); entries of g and a reach beyond the window
+    rng = random.Random(40 + seed)
+    w = window(-4, 5)
+    theta = [16.0, 2.5 + 0.5j, 0.3, -3.0j][seed]
+    g00 = _complex_germ(rng, -6, 6).scale(0.05) + LaurentGerm.monomial(0, 2)
+    g11 = (_complex_germ(rng, -5, 5).scale(0.05)
+           + LaurentGerm.monomial(0, 1.5 - 0.5j))
+    g = LoopMatrix([[g00, _complex_germ(rng, -3, 7).scale(0.1)],
+                    [_complex_germ(rng, -7, 2).scale(0.1), g11]])
+    a = LoopMatrix([[_complex_germ(rng, -6, 8) for _ in range(2)]
+                    for _ in range(2)])
+    got = twisted_conjugate(g, a, theta, w)
+    ref = _germ_twisted_conjugate(g, a, theta, w)
+    scale = max(max(np.abs(ref[i, j].coeffs), default=0.0)
+                for i in range(2) for j in range(2))
+    for i in range(2):
+        for j in range(2):
+            assert got[i, j].n_min >= w.lo and got[i, j].n_max <= w.hi
+            diff = (got[i, j] - ref[i, j]).coeffs
+            assert max(np.abs(diff), default=0.0) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("case", ["inside", "wide", "asymmetric", "zero"])
+def test_qdiff_defect_matches_germ_formula(case):
+    rng = random.Random(len(case) + 50)
+    theta, gamma2 = 2.5 + 0.5j, cmath.sqrt(2.5 + 0.5j)
+    w = window(-6, 6)
+    A = _qdiff_matrix(rng, 2)
+    g = _complex_germ(rng, -4, 4).scale(0.1)
+    if case == "wide":  # entries of A and g reach beyond the window
+        A = _qdiff_matrix(rng, 9)
+        g = _complex_germ(rng, -8, 9).scale(0.1)
+    elif case == "asymmetric":
+        w = window(-2, 9)
+        g = _complex_germ(rng, 1, 7).scale(0.1)
+    elif case == "zero":
+        g = LaurentGerm.zero()
+    got = qdiff_defect(A, g, theta, w, gamma2)
+    ref = _germ_qdiff_defect(A, g, theta, w, gamma2)
+    assert got.n_min >= w.lo and got.n_max <= w.hi
+    assert _germ_rel_err(got, ref) < 1e-13
+
+
+def _triangular_loop(rng):
+    """A11 = alpha exp(u), A22 = exp(-u) / alpha, both cut to z^-12..z^12,
+    and A21 of band 2, with |Gamma| in [1.5, 2.5]."""
+    w = window(-12, 12)
+    u = LaurentGerm.from_dict(
+        {n: complex(rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15))
+         for n in (-2, -1, 1, 2)})
+    alpha = cmath.rect(rng.uniform(1.1, 3.5), rng.uniform(-math.pi, math.pi))
+    A = LoopMatrix([[_two_sided_exp(u, w).scale(alpha), LaurentGerm.zero()],
+                    [_complex_germ(rng, -2, 2).scale(0.3),
+                     _two_sided_exp(-u, w).scale(1.0 / alpha)]])
+    return A, alpha, rng.uniform(1.5, 2.5)
+
+
+def test_sl2_reduce_matches_germ_reduction():
+    rng = random.Random(60)
+    done = 0
+    while done < 40:
+        A, alpha, gamma = _triangular_loop(rng)
+        theta = gamma ** 4
+        w = window(-28, 28)
+        divisors = alpha * theta ** np.arange(w.lo, w.hi + 1) - 1 / alpha
+        if np.min(np.abs(divisors)) < 0.05:  # near +-Gamma^{2Z}
+            continue
+        red = sl2_triangular_reduce(A, 0.9, gamma, w=w)
+        ref_alpha, ref_g, ref_c = _germ_sl2_reduce(A, gamma, w)
+        assert abs(red.alpha - ref_alpha) < 1e-12 * abs(ref_alpha)
+        assert _germ_rel_err(red.diag_exponent, ref_g) < 1e-12
+        assert _germ_rel_err(red.lower, ref_c) < 1e-12
+        done += 1

@@ -8,7 +8,8 @@ import pytest
 from hatloop.birkhoff import LoopMatrix
 from hatloop.errors import DomainMismatch, NonGeneric
 from hatloop.extgroup import ExtendedElement, hat_inv, hat_mul
-from hatloop.germs import LaurentGerm, rescale, window
+from hatloop.germs import (LaurentGerm, germ_exp, rescale, split_pm,
+                           window)
 from hatloop.leaves import (
     EllipticPoint, elliptic_class, elliptic_equal, eprime_equal,
     gl1_diagonalize, gl1_leaf_point, qdiff_solve, sl2_diag_equivalent,
@@ -94,7 +95,6 @@ def test_twisted_conjugate_scalar():
 def _triangular_sample():
     zero = LaurentGerm.zero()
     u = LaurentGerm.from_dict({-1: 0.15, 1: -0.1, 2: 0.07j})
-    from hatloop.germs import germ_exp, split_pm
     plus, minus = split_pm(u)
     w = window(-12, 12)
     a11 = germ_exp(plus, w).mul(germ_exp(minus, w), w).scale(1.4)
@@ -130,6 +130,32 @@ def test_sl2_reduce_det_tolerance_scales_with_entries():
                       [b, a22 + LaurentGerm.monomial(3, 1e-6)]])
     with pytest.raises(DomainMismatch, match="determinant"):
         sl2_triangular_reduce(off, 0.9, 2.0)
+
+
+def test_sl2_reduce_accepts_det_defect_near_resonance():
+    # alpha = 4.008 sits next to Gamma^2 = 4: the corner divisor at z^-1
+    # is alpha / 16 - 1 / alpha = 1.0e-3, so |c| reaches 300.  A22 is
+    # 1 / A11 cut after z^8, a det defect of 0.12^9 = 5.2e-9 that the
+    # determinant check accepts; it leaves b22 off 1/alpha by about that
+    # much, and b22 - 1/alpha times c put 3.9e-7 into the lower corner
+    # of the conjugated loop, which used to be rejected as a residual.
+    r, alpha = 0.12, 4.008
+    a11 = LaurentGerm.from_dict({0: alpha, 1: alpha * r})
+    a22 = LaurentGerm.from_dict({n: (-r) ** n / alpha for n in range(9)})
+    b = LaurentGerm.from_dict({-1: 0.3, 0: 0.2, 1: -0.25})
+    A = LoopMatrix([[a11, LaurentGerm.zero()], [b, a22]])
+    red = sl2_triangular_reduce(A, 0.9, 2.0)
+    assert abs(red.alpha - alpha) < 1e-12
+    assert max(abs(c) for c in red.lower.coeffs) > 250
+    # the corner solves c_n (alpha Theta^n - 1/alpha) = -b21_n with
+    # b21 = e^-g(Theta z) A21 e^-g(z)
+    w = window(-6, 20)
+    plus, minus = split_pm(-red.diag_exponent)
+    e_inv = germ_exp(plus, w).mul(germ_exp(minus, w), w)
+    b21 = rescale(e_inv, THETA).mul(b, None).mul(e_inv, w)
+    assert all(abs(red.lower.coeff_at(n) * (alpha * THETA ** n - 1 / alpha)
+                   + b21.coeff_at(n)) < 1e-12
+               for n in range(w.lo, w.hi + 1))
 
 
 def test_sl2_reduce_rejects_resonant_alpha():
