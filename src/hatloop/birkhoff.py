@@ -3,7 +3,8 @@
 Scalar loops are factorized through the logarithm: sample the loop on the
 unit circle, remove the winding monomial, take a continuous branch of the
 log, recover its Laurent coefficients by FFT and split them into the
-plus/minus parts.
+plus/minus parts; the factors are returned only if their product gives
+back the coefficients of the loop.
 
 2x2 matrix loops ``F = F_plus diag(z^n1, z^n2) F_minus`` read their
 partial indices from the rank of one finite Toeplitz matrix (Gohberg &
@@ -106,12 +107,15 @@ def reciprocal_coeffs(f, w, nsamples=2 * N_SAMPLES, eps_zero=EPS_ZERO):
     return _spectrum_window(np.fft.fft(1.0 / vals) / m, w, f.radius)
 
 
-def birkhoff_scalar(f, w=None, nsamples=2 * N_SAMPLES):
+def birkhoff_scalar(f, w=None, nsamples=2 * N_SAMPLES, tol=1e-9):
     """Factor ``f = f_plus * z**n * f_minus``.
 
     ``n`` is the winding number, ``f_plus`` has exponents >= 0 (constant
     included), ``f_minus`` has the shape ``1 + (strictly negative part)``
-    so that ``f_minus(inf) = 1``.
+    so that ``f_minus(inf) = 1``.  Raises :class:`FactorizationFailed`
+    when the coefficients of ``f_plus z**n f_minus - f`` exceed ``tol``
+    times the largest coefficient of ``f`` (a zero of ``f`` so near the
+    circle that its log aliases at this resolution or outlives ``w``).
     """
     if w is None:
         band = max(abs(f.n_min), abs(f.n_max), 1)
@@ -122,6 +126,16 @@ def birkhoff_scalar(f, w=None, nsamples=2 * N_SAMPLES):
     gp, gm = split_pm(logs)
     f_plus = _chop(germ_exp(gp, w))
     f_minus = _chop(germ_exp(gm, w))
+    prod = np.convolve(f_plus.coeffs, f_minus.coeffs)
+    start = f_plus.n_min + n + f_minus.n_min
+    lo = min(start, f.n_min)
+    resid = f.to_array(lo, max(start + len(prod) - 1, f.n_max))
+    resid[start - lo:start - lo + len(prod)] -= prod
+    err = float(np.max(np.abs(resid)))
+    if not err <= tol * max(map(abs, f.coeffs)):
+        raise FactorizationFailed(
+            f"winding {n}: round-trip residual {err:.3g} above tol {tol:g} "
+            f"times max|f|")
     return f_plus, n, f_minus
 
 

@@ -102,7 +102,7 @@ def _cmd_factorize(args):
     else:
         f = LaurentGerm.from_json(obj)
         w = _parse_window(args.window) if args.window else None
-        f_plus, n, f_minus = birkhoff_scalar(f, w=w)
+        f_plus, n, f_minus = birkhoff_scalar(f, w=w, tol=args.tol)
         doc = {"f_plus": f_plus.to_json(), "index": n,
                "f_minus": f_minus.to_json()}
     _emit(doc, args.output)

@@ -63,6 +63,21 @@ def test_scalar_factorization_with_winding():
     assert n == 1
 
 
+@pytest.mark.parametrize("r", [0.99, 0.995, 0.999])
+def test_scalar_near_circle_zero_round_trips_or_raises(r):
+    # f = (1 - r z)(1 - 0.2/z): log f decays like r^n, so a fixed sample
+    # count aliases the plus part into the minus part
+    f = g({-1: -0.2, 0: 1 + 0.2 * r, 1: -r})
+    tol = 1e-9
+    try:
+        f_plus, n, f_minus = birkhoff_scalar(f, tol=tol)
+    except FactorizationFailed:
+        return
+    recon = f_plus.mul(LaurentGerm.monomial(n), None).mul(f_minus, None)
+    err = max(abs(c) for _, c in (recon - f).items())
+    assert err <= tol * max(abs(c) for _, c in f.items())
+
+
 def test_matrix_identity_and_det():
     eye = LoopMatrix.identity()
     assert in_identity_component(eye)
