@@ -14,7 +14,16 @@ no term below ``z^k`` form, up to a tail that vanishes as depth grows, a
 space of dimension ``sum_j max(n_j - k + 1, 0)``.  At ``k = floor(n/2) +
 1`` (n the winding of det F) that is ``n1 - floor(n/2)``.  The minus
 factor for that pair is then the least-squares solution of columns of
-the same matrix.
+the same matrix, by one Householder QR per column of G, or one QR with
+two right-hand sides when n1 == n2.
+
+The depth comes from the zeros of det F: with rho the largest |zero|
+inside the circle or 1/|zero| outside it, F_minus and its inverse decay
+like rho**n, so a truncation at depth d leaves about rho**d (Trefethen &
+Weideman, SIAM Rev. 2014).  The solve runs at the depth where that is
+1e-3 tol and the kernel is read at the shorter depth where it is 1e-2
+KERNEL_RTOL; if the round trip fails, the depth doubles, up to a fixed
+cap, for at most five steps.
 
 Circle sampling is one inverse FFT of the coefficients folded modulo the
 sample count.  The sample count is at least the smallest power of two
@@ -27,11 +36,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (FactorizationFailed, ParseError, SingularLoop)
 from .germs import (LaurentGerm, germ_exp, json_field, split_pm, truncate_ge,
                     window)
 
+# A circle sample below EPS_ZERO times the largest one counts as a zero.
 EPS_ZERO = 1e-12
 N_SAMPLES = 512
 # Singular values below KERNEL_RTOL times the largest count as kernel in
@@ -61,8 +72,12 @@ def _nsamples(nsamples, f, span=0):
 
 
 def _nonsingular_samples(f, nsamples, eps_zero):
+    """Circle samples of ``f``; raises :class:`SingularLoop` when the
+    smallest is below ``eps_zero`` times the largest, so that the test
+    does not depend on the scale of ``f``."""
     vals = _circle_samples(f, nsamples)
-    if np.min(np.abs(vals)) < eps_zero:
+    mags = np.abs(vals)
+    if not mags.min() > eps_zero * mags.max():
         raise SingularLoop("loop vanishes on the sampling circle")
     return vals
 
@@ -77,8 +92,8 @@ def winding_number(f, nsamples=N_SAMPLES, eps_zero=EPS_ZERO):
 
     Uses argument unwrapping over at least ``nsamples`` equispaced points
     (more when the band of ``f`` needs them) and raises
-    :class:`SingularLoop` when the loop gets within ``eps_zero`` of the
-    origin.
+    :class:`SingularLoop` when the loop gets within ``eps_zero`` times
+    its largest sample of the origin.
     """
     if f.is_zero():
         raise SingularLoop("zero loop")
@@ -251,17 +266,16 @@ def _toeplitz_system(F, k, depth):
 
     Columns are the coefficients of g_0 then g_1 at z^-depth..z^0.  Row
     (r, e), for ``e_lo = band_lo - depth <= e < k``, holds the
-    coefficient of z^e in (F g)_r: block (r, j) is the slice
-    ``F_rj[(e - e_lo) - m]`` of a dense coefficient array of F_rj
-    starting at ``e_lo``.
+    coefficient of z^e in (F g)_r: block (r, j) is ``F_rj[(e - e_lo) -
+    m]``, the reversed sliding windows of length ``depth + 1`` over a
+    dense coefficient array of F_rj starting at ``e_lo``, copied once.
     """
     e_lo = F.band()[0] - depth
     ne = max(k - e_lo, 0)
-    toeplitz = np.arange(ne)[:, None] - np.arange(-depth, 1)[None, :]
-    return np.vstack([
-        np.hstack([F[r, j].to_array(e_lo, e_lo + ne + depth - 1)[toeplitz]
-                   for j in range(2)])
-        for r in range(2)])
+    coeffs = np.array([[F[r, j].to_array(e_lo, e_lo + ne + depth)
+                        for j in range(2)] for r in range(2)])
+    windows = sliding_window_view(coeffs, depth + 1, axis=2)[:, :, :ne, ::-1]
+    return windows.transpose(0, 2, 1, 3).reshape(2 * ne, 2 * (depth + 1))
 
 
 def _minus_factor_system(F, indices, i, depth):
@@ -280,6 +294,15 @@ def _minus_factor_system(F, indices, i, depth):
     return T[:, cols], -T[:, i * (depth + 1) + depth]
 
 
+def _qr_solve(A, B):
+    """Least-squares solution of ``A X = B`` (A of full column rank) from
+    one Householder QR of ``[A, B]``: the leading block of R is R_A and
+    the block beside it is ``Q_A^H B``, so Q is never formed."""
+    n = A.shape[1]
+    r = np.linalg.qr(np.hstack([A, B]), mode="r")
+    return np.linalg.solve(r[:n, :n], r[:n, n:])
+
+
 def _solve_minus_factor(F, n1, n2, depth):
     """Least squares solve for G = F_minus**-1 (minus type).
 
@@ -287,23 +310,45 @@ def _solve_minus_factor(F, n1, n2, depth):
     to vanish.  G is normalized to G(inf) = I when n1 == n2; for
     n1 > n2 the (2,1) entry keeps a free constant (the normalization
     at infinity is then unit lower triangular, the general form the
-    sorted indices allow).
+    sorted indices allow).  When n1 == n2 both columns share one matrix
+    A and are solved by one QR with two right-hand sides.
     """
     entries = [[None, None], [None, None]]
-    for i in range(2):
-        A, b = _minus_factor_system(F, (n1, n2), i, depth)
+    for cols in ([(0, 1)] if n1 == n2 else [(0,), (1,)]):
+        systems = [_minus_factor_system(F, (n1, n2), i, depth) for i in cols]
+        A = systems[0][0]
+        B = np.column_stack([b for _, b in systems])
         try:
-            q, r = np.linalg.qr(A)
-            sol = np.linalg.solve(r, q.conj().T @ b)
+            sols = _qr_solve(A, B)
         except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        for j in range(2):
-            const = 1.0 if j == i else 0.0
-            if j == 1 and i == 0 and n1 > n2:
-                const = sol[2 * depth]
-            entries[j][i] = LaurentGerm.from_array(
-                -depth, np.append(sol[j * depth:(j + 1) * depth], const))
+            sols, *_ = np.linalg.lstsq(A, B, rcond=None)
+        for i, sol in zip(cols, sols.T):
+            for j in range(2):
+                const = 1.0 if j == i else 0.0
+                if j == 1 and i == 0 and n1 > n2:
+                    const = sol[2 * depth]
+                entries[j][i] = LaurentGerm.from_array(
+                    -depth, np.append(sol[j * depth:(j + 1) * depth], const))
     return LoopMatrix(entries)
+
+
+def _decay_rate(f):
+    """Rate rho at which the plus and minus parts split from ``f``
+    decay: the largest |zero| of ``f`` inside the unit circle or the
+    inverse of the smallest |zero| outside it, whichever is larger; 0
+    for a monomial."""
+    r = np.abs(np.roots(np.asarray(f.coeffs)[::-1]))
+    return float(max(np.max(r[r < 1], initial=0.0),
+                     1.0 / np.min(r[r >= 1], initial=np.inf)))
+
+
+def _depth(rho, eps, floor, cap):
+    """Smallest depth d with ``rho**d <= eps``, clipped to [floor, cap]."""
+    if rho <= 0.0:
+        return floor
+    if rho >= 1.0:
+        return cap
+    return min(max(math.ceil(math.log(eps) / math.log(rho)), floor), cap)
 
 
 def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9):
@@ -314,20 +359,33 @@ def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9):
     of det F, the larger index ``n1`` is ``floor(n/2)`` plus the kernel
     dimension of the Toeplitz map ``g -> (F g)`` below ``z^(floor(n/2)
     + 1)`` on columns g with exponents ``-depth..0`` (Gohberg-Krein;
-    Adukov).  At each of five depths, doubling from ``-w.lo``, the pair
-    read there is solved for and validated by the reconstruction
-    residual and the invertibility of ``F_plus`` at 0.  Raises
+    Adukov).
+
+    The depth comes from rho, the decay rate of F_minus and its inverse
+    set by the zeros of det F (see :func:`_decay_rate`): the solve runs
+    at the smallest depth with ``rho**depth <= 1e-3 tol`` and reads the
+    indices at the shorter depth where ``rho**depth <= 1e-2
+    KERNEL_RTOL``, both at least ``-w.lo`` (8 when ``w`` is not given)
+    and at most ``cap = 16 (-w.lo)`` (``w`` the default window when not
+    given).  The pair is validated by the reconstruction residual, held
+    to ``tol`` times ``max|F|``, and by the invertibility of ``F_plus``
+    at 0.  When that fails the depth doubles, reading the indices at the
+    full depth, up to ``cap``: at most five steps.  Raises
     :class:`FactorizationFailed` naming the last pair and residual when
-    no depth passes ``tol``.
+    no step passes.
     """
     det = F.det(None)
     n_total = winding_number(det, max(nsamples, N_SAMPLES))
     scale = max(F.max_abs(), 1e-300)
     lo_band, hi_band = F.band()
+    floor = 8 if w is None else -w.lo
     if w is None:
         bw = max(abs(lo_band), abs(hi_band), 1)
         w = window(-8 * bw - 16, 8 * bw + 16)
-    depth0 = -w.lo
+    cap = (-w.lo) << 4
+    rho = _decay_rate(det)
+    depth = _depth(rho, 1e-3 * tol, floor, cap)
+    read = _depth(rho, 1e-2 * KERNEL_RTOL, floor, depth)
 
     def attempt(n1, n2, depth):
         G = _solve_minus_factor(F, n1, n2, depth)
@@ -358,17 +416,21 @@ def birkhoff_matrix2(F, w=None, nsamples=2 * N_SAMPLES, tol=1e-9):
                                    for i in range(2) for j in range(2)])))
         return fact, err
 
-    for depth in (depth0 << step for step in range(5)):
-        # n1 is floor(n/2) plus the kernel dimension at k = floor(n/2) + 1,
-        # read at every depth: a short one hides slowly decaying kernels
-        T = _toeplitz_system(F, n_total // 2 + 1, depth)
+    for step in range(5):
+        # n1 is floor(n/2) plus the kernel dimension at k = floor(n/2) + 1
+        T = _toeplitz_system(F, n_total // 2 + 1, read)
         sv = np.linalg.svd(T, compute_uv=False)
         n1 = n_total // 2 + T.shape[1] - int(np.count_nonzero(
             sv >= KERNEL_RTOL * sv[0]))
         n2 = n_total - n1
         fact, err = attempt(n1, n2, depth)
-        if fact is not None and err <= tol:
+        if fact is not None and err <= tol * scale:
             return fact
+        if depth == cap:
+            break
+        # a misread pair or a slower decay than rho predicts: read the
+        # kernel at the full depth from here on; the fifth step is the cap
+        depth = read = cap if step == 3 else min(2 * depth, cap)
     raise FactorizationFailed(
         f"partial indices ({n1}, {n2}): round-trip residual {err:.3g} "
-        f"above tol {tol:g} at depth {depth}")
+        f"above tol {tol:g} times max|F| at depth {depth}")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import hatloop.birkhoff as birkhoff
 from hatloop.birkhoff import (
     LoopMatrix, birkhoff_matrix2, birkhoff_scalar, in_identity_component,
     log_coeffs, reciprocal_coeffs, winding_number,
@@ -206,3 +207,102 @@ def test_matrix_unreachable_tol_names_the_pair():
     F = _split_loop(2, -1, seed=3)
     with pytest.raises(FactorizationFailed, match=r"\(2, -1\)"):
         birkhoff_matrix2(F, W, tol=1e-300)
+
+
+def _scaled(F, s):
+    return LoopMatrix([[F[i, j].scale(s) for j in range(2)] for i in range(2)])
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e8])
+def test_matrix_factorization_is_scale_free(s):
+    # the singularity test and the round trip are relative to max|F|:
+    # an absolute EPS_ZERO and tol used to reject both scales
+    rng = random.Random(17)
+    for F in [_random_matrix(rng), _split_loop(3, -2, seed=5)]:
+        Fs = _scaled(F, s)
+        fact = birkhoff_matrix2(Fs)
+        assert fact.indices == birkhoff_matrix2(F).indices
+        recon = fact.reconstruct()
+        err = max(abs(c) for i in range(2) for j in range(2)
+                  for _, c in (recon[i, j] - Fs[i, j]).items())
+        assert err <= 1e-9 * Fs.max_abs()
+
+
+def test_scalar_factorization_is_scale_free():
+    f = g({-2: 0.1, -1: 0.2, 0: 1.5, 1: 0.3, 3: 0.05, 4: -0.2j})
+    _, n_ref, _ = birkhoff_scalar(f)
+    f_plus, n, f_minus = birkhoff_scalar(f.scale(1e-14))
+    assert n == n_ref
+    recon = f_plus.mul(LaurentGerm.monomial(n), None).mul(f_minus, None)
+    assert recon.allclose(f.scale(1e-14), 1e-9 * 1e-14)
+
+
+def test_singular_matrix_loop_still_raises():
+    F = LoopMatrix([[g({0: -1, 1: 1}), g({})], [g({}), g({0: 2.0})]])
+    with pytest.raises(SingularLoop):
+        birkhoff_matrix2(F)
+    with pytest.raises(SingularLoop):
+        birkhoff_matrix2(_scaled(F, 1e-8))
+
+
+def _unimodular_loop():
+    """Lower, upper and lower unitriangular factors: det F is 1 up to
+    rounding, so rho is about 1e-17 and the first depth is short enough
+    for the ladder to double."""
+    one = LaurentGerm.one()
+
+    def lower(q):
+        return LoopMatrix([[one, g({})], [g(q), one]])
+
+    upper = LoopMatrix([[one, g({1: 0.3, 2: 0.1})], [g({}), one]])
+    return lower({-1: 0.2}).mul(upper).mul(lower({-1: 0.7, -2: 0.3}))
+
+
+@pytest.mark.parametrize("F,w", [
+    (_near_circle_loop(1, False), None),
+    (_split_loop(2, -1, seed=3), W),
+    (_unimodular_loop(), window(-4, 4)),
+], ids=["near-circle-auto", "split-w8", "unimodular-w4"])
+def test_matrix_depth_ladder_is_bounded(F, w, monkeypatch):
+    # at an unreachable tol the depth ladder stops at 16 (-w.lo) (w the
+    # default window when none is given) after at most five steps
+    depths, steps = [], []
+    toeplitz, solve = birkhoff._toeplitz_system, birkhoff._solve_minus_factor
+    monkeypatch.setattr(birkhoff, "_toeplitz_system", lambda F, k, depth: (
+        depths.append(depth), toeplitz(F, k, depth))[1])
+    monkeypatch.setattr(birkhoff, "_solve_minus_factor", lambda *a: (
+        steps.append(a[-1]), solve(*a))[1])
+    if w is None:
+        bw = max(map(abs, F.band()))
+        cap = (8 * bw + 16) << 4
+    else:
+        cap = (-w.lo) << 4
+    with pytest.raises(FactorizationFailed):
+        birkhoff_matrix2(F, w, tol=1e-300)
+    assert max(depths) <= cap and steps[-1] == cap
+    assert 1 <= len(steps) <= 5
+
+
+def test_matrix_one_solve_per_well_separated_loop(monkeypatch):
+    # det F has no zero near the circle, so the depth from rho passes on
+    # the first step
+    calls = []
+    solve = birkhoff._solve_minus_factor
+    monkeypatch.setattr(birkhoff, "_solve_minus_factor", lambda *a: (
+        calls.append(a), solve(*a))[1])
+    rng = random.Random(2024)
+    for n in range(1, 21):
+        birkhoff_matrix2(_random_matrix(rng))
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize("coeffs,rho", [
+    ({0: 1, -1: -0.5}, 0.5),   # zero at 0.5
+    ({0: 1, 1: -0.4}, 0.4),    # zero at 2.5
+    ({3: 2.0}, 0.0),           # monomial: no zeros
+    # (z - a)(z - b) / z: the larger of a and 1 / b
+    ({-1: 1.25, 0: -3.0, 1: 1.0}, 0.5),  # zeros at 0.5 and 2.5
+    ({-1: 0.5, 0: -2.7, 1: 1.0}, 0.4),   # zeros at 0.2 and 2.5
+])
+def test_decay_rate(coeffs, rho):
+    assert abs(birkhoff._decay_rate(g(coeffs)) - rho) < 1e-12

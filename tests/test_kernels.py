@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from hatloop.birkhoff import (LoopMatrix, _circle_samples,
-                              _minus_factor_system, _toeplitz_system,
+                              _minus_factor_system, _qr_solve,
+                              _toeplitz_system,
                               log_coeffs, reciprocal_coeffs, winding_number)
 from hatloop.germs import (LaurentGerm, germ_exp, germ_log, rescale,
                            split_pm, truncate_ge, truncate_gt, truncate_le,
@@ -223,6 +224,29 @@ def test_minus_factor_system_matches_entrywise_build(indices):
             A_ref, b_ref = _reference_system(F, indices, i, depth)
             assert A.shape == A_ref.shape
             assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("indices", [(0, 0), (1, 1), (2, -1), (1, -1)])
+def test_augmented_qr_solve_matches_qr_then_solve(indices):
+    # R of [A, B] holds R_A and Q_A^H B; balanced indices share A, so
+    # both columns go through one QR
+    rng = random.Random(31 + 5 * indices[0])
+    F = LoopMatrix([[_complex_germ(rng, -3, 2) + LaurentGerm.monomial(0, 4),
+                     _complex_germ(rng, -1, 4)],
+                    [_complex_germ(rng, 0, 3),
+                     _complex_germ(rng, -2, 2) + LaurentGerm.monomial(0, 4)]])
+    depth = 12
+    groups = [(0, 1)] if indices[0] == indices[1] else [(0,), (1,)]
+    for cols in groups:
+        systems = [_minus_factor_system(F, indices, i, depth) for i in cols]
+        A = systems[0][0]
+        B = np.column_stack([b for _, b in systems])
+        sols = _qr_solve(A, B)
+        for c, (A_i, b) in enumerate(systems):
+            assert np.array_equal(A_i, A)
+            q, r = np.linalg.qr(A_i)
+            ref = np.linalg.solve(r, q.conj().T @ b)
+            assert np.max(np.abs(sols[:, c] - ref)) <= 1e-12
 
 
 def test_winding_number_of_high_band_loop():
